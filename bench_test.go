@@ -119,35 +119,6 @@ func BenchmarkPointVsLevel(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSpMSpM compares the naive tick-all loop against the
-// event-driven ready-set scheduler on a sparse SpM*SpM workload (the
-// Figure 12 linear-combination dataflow). The event engine's advantage
-// comes from skipping starved and backpressured blocks; the acceptance
-// floor for this repository is a 1.5x wall-clock win on sparse workloads.
-func BenchmarkEngineSpMSpM(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	mb := RandomTensor("B", rng, 3125, 250, 100)
-	mc := RandomTensor("C", rng, 1250, 100, 250)
-	inputs := Inputs{"B": mb, "C": mc}
-	g, err := Compile("X(i,j) = B(i,k) * C(k,j)", nil, Schedule{LoopOrder: []string{"i", "k", "j"}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, eng := range []EngineKind{EngineNaive, EngineEvent} {
-		b.Run(string(eng), func(b *testing.B) {
-			cycles := 0
-			for i := 0; i < b.N; i++ {
-				res, err := Simulate(g, inputs, Options{Engine: eng})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles = res.Cycles
-			}
-			b.ReportMetric(float64(cycles), "cycles")
-		})
-	}
-}
-
 // BenchmarkSimulateBatch measures the batched parallel runner on the
 // Figure 12 six-permutation study at increasing worker counts.
 func BenchmarkSimulateBatch(b *testing.B) {

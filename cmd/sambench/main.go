@@ -7,8 +7,7 @@
 //	sambench                 # run everything
 //	sambench -exp fig12      # one experiment
 //	sambench -exp table1,fig13a -scale 0.5
-//	sambench -exp engines -json > BENCH.json   # machine-readable results
-//	sambench -engine naive   # re-run the evaluation on the tick-all loop
+//	sambench -exp fig12 -json > BENCH.json     # machine-readable results
 //	sambench -exp parallel -par 1,2,4,8,16     # lane-scaling study
 //	sambench -exp serve -json > BENCH_PR3.json # serving cache + scaling study
 //	sambench -exp opt -json > BENCH_PR4.json   # graph-optimizer study
@@ -20,8 +19,9 @@
 //	sambench -exp shard -json > BENCH_PR10.json # sharded-router fleet study
 //
 // Experiments: table1, table2, fig11, fig12, fig13a, fig13b, fig13c, fig14,
-// fig15, pointlevel, engines, parallel, serve, opt, comp, throughput,
-// artifact, obs, state, shard.
+// fig15, pointlevel, parallel, serve, opt, comp, throughput, artifact, obs,
+// state, shard. Cycle counts come from the event engine, the one engine with
+// a cycle model.
 package main
 
 import (
@@ -37,10 +37,9 @@ import (
 	"time"
 
 	"sam/internal/experiments"
-	"sam/internal/sim"
 )
 
-var all = []string{"table1", "table2", "fig11", "fig12", "fig13a", "fig13b", "fig13c", "fig14", "fig15", "pointlevel", "engines", "parallel", "serve", "opt", "comp", "throughput", "artifact", "obs", "state", "shard"}
+var all = []string{"table1", "table2", "fig11", "fig12", "fig13a", "fig13b", "fig13c", "fig14", "fig15", "pointlevel", "parallel", "serve", "opt", "comp", "throughput", "artifact", "obs", "state", "shard"}
 
 // jsonResult is the machine-readable record emitted per experiment with
 // -json, so perf trajectories can be tracked across PRs in BENCH_*.json.
@@ -51,7 +50,6 @@ type jsonResult struct {
 	Experiment string  `json:"experiment"`
 	Seed       int64   `json:"seed"`
 	Scale      float64 `json:"scale"`
-	Engine     string  `json:"engine"`
 	CPUs       int     `json:"cpus"`
 	GoMaxProcs int     `json:"gomaxprocs"`
 	ElapsedMS  float64 `json:"elapsed_ms"`
@@ -69,29 +67,13 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	exp := fs.String("exp", "all", "comma-separated experiments to run (see usage)")
 	seed := fs.Int64("seed", 1, "random seed for synthetic data")
-	scale := fs.Float64("scale", 1.0, "problem-size scale for fig11/fig12/engines/parallel (1.0 = paper size)")
-	engine := fs.String("engine", "", "simulation engine: event (default) or naive")
+	scale := fs.Float64("scale", 1.0, "problem-size scale for fig11/fig12/parallel (1.0 = paper size)")
 	par := fs.String("par", "", "comma-separated lane counts for the parallel experiment (default 1,2,4,8,16)")
 	asJSON := fs.Bool("json", false, "emit machine-readable JSON instead of text tables")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	if *engine != "" {
-		// Experiments need cycle counts and stream statistics, which only
-		// the cycle-accurate engines produce; validate against the full
-		// registry so a typo prints every engine that exists.
-		kind := sim.EngineKind(*engine)
-		if _, err := sim.EngineFor(kind); err != nil {
-			fmt.Fprintf(stderr, "sambench: %v\n", err)
-			return 1
-		}
-		if kind != sim.EngineEvent && kind != sim.EngineNaive {
-			fmt.Fprintf(stderr, "sambench: engine %q has no cycle model; experiments need a cycle engine (%q or %q)\n", *engine, sim.EngineEvent, sim.EngineNaive)
-			return 1
-		}
-		experiments.SimOptions.Engine = kind
-	}
 	lanes, err := parseLanes(*par)
 	if err != nil {
 		fmt.Fprintf(stderr, "sambench: %v\n", err)
@@ -118,12 +100,8 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 		elapsed := time.Since(start)
 		if *asJSON {
-			eng := string(experiments.SimOptions.Engine)
-			if eng == "" {
-				eng = string(sim.EngineEvent)
-			}
 			records = append(records, jsonResult{
-				Experiment: name, Seed: *seed, Scale: *scale, Engine: eng,
+				Experiment: name, Seed: *seed, Scale: *scale,
 				CPUs: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0),
 				ElapsedMS: float64(elapsed.Microseconds()) / 1000, Data: data,
 			})
@@ -221,12 +199,6 @@ func run(name string, seed int64, scale float64, lanes []int) (string, any, erro
 			return "", nil, err
 		}
 		return experiments.RenderPointVsLevel(rows), rows, nil
-	case "engines":
-		pts, err := experiments.EngineComparison(seed, scale)
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.RenderEngineComparison(pts), pts, nil
 	case "parallel":
 		pts, err := experiments.ParallelSpeedup(seed, scale, lanes)
 		if err != nil {

@@ -22,7 +22,7 @@ func TestSmokeParallelJSON(t *testing.T) {
 	if len(records) != 1 || records[0].Experiment != "parallel" {
 		t.Fatalf("records = %+v", records)
 	}
-	if records[0].Engine != "event" || records[0].Scale != 0.05 {
+	if records[0].Scale != 0.05 {
 		t.Errorf("record metadata = %+v", records[0])
 	}
 	rows, ok := records[0].Data.([]any)
@@ -129,7 +129,7 @@ func TestSmokeThroughputJSON(t *testing.T) {
 // validation: -par without the parallel experiment fails up front.
 func TestParFlagRequiresParallelExperiment(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := realMain([]string{"-exp", "engines", "-par", "2"}, &stdout, &stderr); code == 0 {
+	if code := realMain([]string{"-exp", "table1", "-par", "2"}, &stdout, &stderr); code == 0 {
 		t.Fatal("exit 0, want failure")
 	}
 	if !strings.Contains(stderr.String(), "parallel") {
@@ -147,7 +147,6 @@ func TestParFlagRequiresParallelExperiment(t *testing.T) {
 func TestSmokeBadFlags(t *testing.T) {
 	cases := [][]string{
 		{"-exp", "nope"},
-		{"-engine", "warp"},
 		{"-exp", "parallel", "-par", "0"},
 		{"-exp", "parallel", "-par", "x"},
 	}
@@ -162,28 +161,17 @@ func TestSmokeBadFlags(t *testing.T) {
 	}
 }
 
-// TestUnknownEngineListsRegistered checks a bad -engine prints the full
-// registered engine list (comp included), and that registered engines
-// without a cycle model are rejected with a pointer to the cycle engines
-// rather than the unknown-engine error.
-func TestUnknownEngineListsRegistered(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := realMain([]string{"-engine", "bogus"}, &stdout, &stderr); code == 0 {
-		t.Fatal("exit 0, want failure")
-	}
-	msg := stderr.String()
-	for _, eng := range []string{"event", "naive", "flow", "comp"} {
-		if !strings.Contains(msg, `"`+eng+`"`) {
-			t.Errorf("diagnostic %q does not list engine %q", msg, eng)
+// TestEngineFlagRemoved pins the removal of -engine: every experiment runs
+// on the event engine, the one engine with a cycle model, so the flag is
+// gone and the retired engine names are rejected as an undefined flag.
+func TestEngineFlagRemoved(t *testing.T) {
+	for _, eng := range []string{"event", "naive", "flow", "byte"} {
+		var stdout, stderr bytes.Buffer
+		if code := realMain([]string{"-exp", "table1", "-engine", eng}, &stdout, &stderr); code != 2 {
+			t.Errorf("-engine %s: exit %d, want 2 (undefined flag)", eng, code)
 		}
-	}
-	for _, eng := range []string{"flow", "comp"} {
-		stderr.Reset()
-		if code := realMain([]string{"-engine", eng}, &stdout, &stderr); code == 0 {
-			t.Fatalf("engine %q: exit 0, want failure", eng)
-		}
-		if !strings.Contains(stderr.String(), "no cycle model") {
-			t.Errorf("engine %q: diagnostic %q does not explain the cycle-model requirement", eng, stderr.String())
+		if !strings.Contains(stderr.String(), "flag provided but not defined: -engine") {
+			t.Errorf("-engine %s: diagnostic %q does not name the undefined flag", eng, stderr.String())
 		}
 	}
 }

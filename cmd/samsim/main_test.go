@@ -29,7 +29,7 @@ func TestSmokeSequential(t *testing.T) {
 
 // TestSmokeParallel runs the same statement across 4 lanes on each engine.
 func TestSmokeParallel(t *testing.T) {
-	for _, eng := range []string{"", "naive", "flow", "comp", "byte"} {
+	for _, eng := range []string{"", "event", "comp"} {
 		var stdout, stderr bytes.Buffer
 		code := realMain([]string{
 			"-expr", "x(i) = B(i,j) * c(j)",
@@ -86,7 +86,7 @@ func TestSmokeSkip(t *testing.T) {
 // TestSmokeOptimized runs the same statement at -O 1 on every engine: the
 // gold check must still pass and the optimizer line must report its delta.
 func TestSmokeOptimized(t *testing.T) {
-	for _, eng := range []string{"", "naive", "flow"} {
+	for _, eng := range []string{"", "comp"} {
 		var stdout, stderr bytes.Buffer
 		code := realMain([]string{
 			"-expr", "X(i,j) = B(i,j) * B(i,j)",
@@ -128,25 +128,42 @@ func TestDotPrintsGraph(t *testing.T) {
 }
 
 // TestUnknownEngineListsRegistered checks a bad -engine fails with the full
-// registered engine list, comp included, instead of a bare error.
+// registered engine list instead of a bare error.
 func TestUnknownEngineListsRegistered(t *testing.T) {
+	wantEngineRejected(t, "-expr", "x(i) = b(i) * c(i)", "-engine", "bogus")
+}
+
+// TestRetiredEngineNames pins the names that are no longer engine kinds:
+// each fails like any unknown engine, listing the two registered ones, in
+// both compile and -load mode.
+func TestRetiredEngineNames(t *testing.T) {
+	art := filepath.Join(t.TempDir(), "spmv.sambc")
 	var stdout, stderr bytes.Buffer
-	code := realMain([]string{
-		"-expr", "x(i) = b(i) * c(i)", "-engine", "bogus",
-	}, &stdout, &stderr)
-	if code == 0 {
-		t.Fatal("exit 0, want failure")
+	if code := realMain([]string{"-expr", "x(i) = B(i,j) * c(j)", "-emit", art}, &stdout, &stderr); code != 0 {
+		t.Fatalf("emit exit %d, stderr: %s", code, stderr.String())
 	}
-	msg := stderr.String()
-	for _, eng := range []string{"event", "naive", "flow", "comp", "byte"} {
-		if !strings.Contains(msg, `"`+eng+`"`) {
-			t.Errorf("diagnostic %q does not list engine %q", msg, eng)
+	for _, eng := range []string{"naive", "flow", "byte"} {
+		wantEngineRejected(t, "-expr", "x(i) = b(i) * c(i)", "-engine", eng)
+		wantEngineRejected(t, "-load", art, "-engine", eng)
+	}
+}
+
+// wantEngineRejected runs samsim with an engine it must refuse and demands
+// a failure whose diagnostic lists every registered engine.
+func wantEngineRejected(t *testing.T, args ...string) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if code := realMain(args, &stdout, &stderr); code == 0 {
+		t.Fatalf("args %v: exit 0, want failure", args)
+	}
+	for _, eng := range []string{"event", "comp"} {
+		if !strings.Contains(stderr.String(), `"`+eng+`"`) {
+			t.Errorf("args %v: diagnostic %q does not list engine %q", args, stderr.String(), eng)
 		}
 	}
 }
 
-// TestSmokeCompSkip checks the compiled engine runs gallop (UseSkip) graphs,
-// which the flow engine rejects.
+// TestSmokeCompSkip checks the compiled engine runs gallop (UseSkip) graphs.
 func TestSmokeCompSkip(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := realMain([]string{
@@ -163,10 +180,10 @@ func TestSmokeCompSkip(t *testing.T) {
 }
 
 // TestEmitLoadRoundTrip drives the artifact workflow end to end in-process:
-// -emit writes a portable artifact without simulating, -load runs it on the
-// artifact interpreter (and on comp) with the gold check passing, and a
-// cycle-engine request against the artifact fails up front — artifacts carry
-// no source graph to simulate.
+// -emit writes a portable artifact without simulating, -load runs it as a
+// comp program (the default engine under -load) with the gold check
+// passing, and an event-engine request against the artifact fails up front
+// — artifacts carry no source graph to simulate.
 func TestEmitLoadRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "spmv.sambc")
 	var stdout, stderr bytes.Buffer
@@ -185,7 +202,7 @@ func TestEmitLoadRoundTrip(t *testing.T) {
 		t.Fatalf("emitted artifact missing: %v", err)
 	}
 
-	for _, eng := range []string{"", "byte", "comp"} {
+	for _, eng := range []string{"", "comp"} {
 		stdout.Reset()
 		stderr.Reset()
 		code = realMain([]string{
@@ -196,14 +213,14 @@ func TestEmitLoadRoundTrip(t *testing.T) {
 			t.Fatalf("load (engine %q): exit %d, stderr: %s", eng, code, stderr.String())
 		}
 		out := stdout.String()
-		for _, want := range []string{"artifact:", "expression:", "fingerprint:", "gold check:  PASSED"} {
+		for _, want := range []string{"artifact:", "expression:", "fingerprint:", "engine:      comp", "gold check:  PASSED"} {
 			if !strings.Contains(out, want) {
 				t.Errorf("load (engine %q): output missing %q:\n%s", eng, want, out)
 			}
 		}
 	}
 
-	// Cycle engines need the source graph; a loaded artifact has none.
+	// The event engine needs the source graph; a loaded artifact has none.
 	stdout.Reset()
 	stderr.Reset()
 	if code = realMain([]string{"-load", path, "-engine", "event"}, &stdout, &stderr); code == 0 {
@@ -221,10 +238,7 @@ func TestFlagCombinationValidation(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-expr", "x(i) = b(i) * c(i)", "-skip", "-engine", "flow"}, "gallop"},
-		{[]string{"-expr", "x(i) = b(i) * c(i)", "-engine", "flow", "-queue", "4"}, "-queue"},
 		{[]string{"-expr", "x(i) = b(i) * c(i)", "-engine", "comp", "-queue", "4"}, "-queue"},
-		{[]string{"-expr", "x(i) = b(i) * c(i)", "-engine", "byte", "-queue", "4"}, "-queue"},
 		{[]string{"-expr", "x(i) = b(i) * c(i)", "-O", "2"}, "unknown -O level 2"},
 		{[]string{"-expr", "x(i) = b(i) * c(i)", "-O", "-1"}, "unknown -O level -1"},
 		{[]string{"-expr", "x(i) = b(i)", "-load", "a.sambc"}, "-load"},

@@ -186,3 +186,28 @@ func TestDocsMetricFamiliesExist(t *testing.T) {
 		}
 	}
 }
+
+// TestAPIDocEngineList holds the wire engine list in docs/API.md (the
+// `options` bullet: "`engine` (`event` default, `comp`)") equal to the
+// registry, in order, so an engine added or retired in sim shows up here.
+func TestAPIDocEngineList(t *testing.T) {
+	src, err := os.ReadFile("docs/API.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile("`options` \\(optional\\) — `engine` \\(([^)]*)\\)").FindSubmatch(src)
+	if m == nil {
+		t.Fatal("docs/API.md has no \"`options` (optional) — `engine` (...)\" engine list")
+	}
+	var documented []string
+	for _, name := range regexp.MustCompile("`([a-z]+)`").FindAllSubmatch(m[1], -1) {
+		documented = append(documented, string(name[1]))
+	}
+	var registered []string
+	for _, k := range Engines() {
+		registered = append(registered, string(k))
+	}
+	if strings.Join(documented, ",") != strings.Join(registered, ",") {
+		t.Errorf("docs/API.md engine list %v, registry %v", documented, registered)
+	}
+}

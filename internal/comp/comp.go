@@ -1,7 +1,7 @@
 // Package comp is the compiled co-iteration engine: it lowers a SAM
 // dataflow graph once into a tree of Go closures that execute the graph
 // directly, skipping the token queues and per-cycle scheduling the
-// cycle-accurate engines pay on every edge.
+// cycle-accurate event engine pays on every edge.
 //
 // Lowering is split into two halves. Lower walks the graph in topological
 // order and flattens it into a serializable IR: one StepIR per block with
@@ -9,9 +9,9 @@
 // the output metadata (ir.go). Materialize binds each StepIR to its merged-
 // loop closure through an opcode dispatch and rebuilds the derived state
 // (lane plan, output permutation). Compile is Lower followed by
-// Materialize; internal/prog serializes the IR between the two halves, so
-// the closure engine and the portable-artifact interpreter share one
-// lowering and execute the exact same closure bodies.
+// Materialize; internal/prog serializes the IR between the two halves, so a
+// program decoded from a portable artifact is a comp program that executes
+// the exact same closure bodies as a direct compilation.
 //
 // Each closure is a merged loop over its operands' full streams: level
 // scanners become cursor walks over fiber.Tensor storage, intersections and
@@ -19,17 +19,16 @@
 // galloping) merges, and ALUs, reducers, droppers and writers run as tight
 // loops fused over whole fibers at a time. The token-level semantics of
 // every block are preserved exactly — the per-edge token sequences are
-// identical to the cycle engines' — so outputs are bit-identical, which the
+// identical to the event engine's — so outputs are bit-identical, which the
 // differential battery in this package and the engine registration in
 // internal/sim enforce across kernels, schedules, lane counts and fuzzed
 // inputs.
 //
 // Supported blocks are everything except the bitvector pipeline (bitvector
-// scanners, intersecters, vector ALUs and writers stay on the cycle
-// engines); Check reports support up front so sim's comp engine can fall
-// back to the event engine instead of failing. Like internal/flow, the
-// compiled engine computes functional results only: no cycle counts, no
-// stream statistics.
+// scanners, intersecters, vector ALUs and writers stay on the event
+// engine); Check reports support up front so sim's comp engine can fall
+// back to the event engine instead of failing. The compiled engine
+// computes functional results only: no cycle counts, no stream statistics.
 package comp
 
 import (
@@ -111,7 +110,7 @@ type Program struct {
 
 // Check reports whether the compiled engine can lower the graph. Only the
 // bitvector pipeline is outside its block set; graphs using it run on the
-// cycle engines (sim's comp engine falls back to the event engine).
+// event engine (sim's comp engine falls back to it).
 func Check(g *graph.Graph) error {
 	for _, n := range g.Nodes {
 		switch n.Kind {

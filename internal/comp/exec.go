@@ -236,7 +236,7 @@ func (p *Program) RunTraced(bound map[string]*fiber.Tensor, dims []int, tr *obs.
 
 // RunMerged executes the program with lane regions forced onto the calling
 // goroutine as one merged sequential loop, regardless of the compiled plan.
-// It is the differential oracle for the goroutine executor: outputs must be
+// It is the differential oracle for the lane-goroutine mode: outputs must be
 // bit-identical to Run's.
 func (p *Program) RunMerged(bound map[string]*fiber.Tensor, dims []int) (*tensor.COO, error) {
 	rc := p.getCtx()

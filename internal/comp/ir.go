@@ -13,10 +13,10 @@ import (
 // program artifact needs: Lower turns a graph into a flat, serializable
 // intermediate form (IR), and Materialize turns an IR — freshly lowered or
 // decoded from bytes by internal/prog — back into an executable Program.
-// Compile is Lower followed by Materialize, so the closure engine and the
-// artifact interpreter share one lowering: a decoded artifact executes the
-// exact same closure bodies a direct compilation would, which is what makes
-// the two engines bit-identical by construction.
+// Compile is Lower followed by Materialize, so a compiled program and one
+// decoded from an artifact share one lowering: a decoded artifact executes
+// the exact same closure bodies a direct compilation would, which is what
+// makes the two bit-identical by construction.
 
 // StepIR is one lowered step in serializable form: the block kind, the
 // stream slots it reads and writes, and the block parameters its closure
@@ -369,7 +369,7 @@ func Materialize(ir *IR) (*Program, error) {
 	return p, nil
 }
 
-// stepFor is the opcode dispatch of the artifact interpreter: it binds one
+// stepFor is the opcode dispatch of Materialize: it binds one
 // StepIR to its closure. Binding happens once at materialize time (direct
 // threading — the run loop is a flat walk over already-bound closures), and
 // the closure bodies are the same ones a direct compilation produces.

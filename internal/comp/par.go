@@ -7,10 +7,10 @@ import (
 
 // This file lowers the lane-parallelism blocks of paper Section 4.4: the
 // parallelizer fork, the round-robin (and driver-rotated) joiners, and the
-// cross-lane reduction combiner. The merged-loop state machines mirror
-// internal/flow's goroutine implementations token for token; the combiner
-// reuses the shared pure codec core.MergeLaneStreams directly, since the
-// lane streams are already materialized here.
+// cross-lane reduction combiner. The merged-loop state machines mirror the
+// internal/core lane blocks token for token; the combiner reuses the shared
+// pure codec core.MergeLaneStreams directly, since the lane streams are
+// already materialized here.
 
 // stepParallelize forks a stream across lanes: level < 0 advances the lane
 // after every data token, level >= 0 after each stop of exactly that level;

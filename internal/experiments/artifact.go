@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"time"
 
+	"sam/internal/comp"
 	"sam/internal/custard"
 	"sam/internal/lang"
 	"sam/internal/prog"
@@ -17,19 +18,19 @@ import (
 )
 
 // ArtifactRow is one kernel × optimization measurement of the program-
-// artifact pipeline (internal/prog): the encoded size, the encode and decode
-// costs, and the interpreter's wall-clock against the directly-compiled
-// engine on the same inputs — with the artifact-run output proven
-// bit-identical to the event engine.
+// artifact pipeline (internal/prog): the encoded size, the setup cost of a
+// cold compile against decoding the artifact, and the comp engine's
+// wall-clock on the compiled program against the decoded one — with the
+// artifact-run output proven bit-identical to the event engine.
 type ArtifactRow struct {
 	Kernel    string  `json:"kernel"`
 	Opt       int     `json:"opt"`
 	Bytes     int     `json:"artifact_bytes"`
-	EncodeUS  float64 `json:"encode_us"` // lower + encode, per call
-	DecodeUS  float64 `json:"decode_us"` // decode + materialize, per call
-	WallMSEv  float64 `json:"wall_ms_event"`
+	CompileUS float64 `json:"compile_us"` // custard + optimizer + lowering, per call
+	EncodeUS  float64 `json:"encode_us"`  // lower + encode, per call
+	DecodeUS  float64 `json:"decode_us"`  // decode + materialize, per call
 	WallMSCmp float64 `json:"wall_ms_comp"`
-	WallMSByt float64 `json:"wall_ms_byte"`
+	WallMSArt float64 `json:"wall_ms_artifact"`
 	Identical bool    `json:"outputs_identical"`
 }
 
@@ -44,7 +45,7 @@ type ArtifactServePoint struct {
 	ColdSetupNS int64   `json:"cold_setup_ns"` // fresh server, empty disk: compile
 	DiskSetupNS int64   `json:"disk_setup_ns"` // fresh server, warm disk: decode
 	Speedup     float64 `json:"setup_speedup"`
-	Cycles      int     `json:"cycles"` // 0: the byte engine has no cycle model
+	Cycles      int     `json:"cycles"` // 0: the comp engine has no cycle model
 }
 
 // ArtifactResult bundles both halves of the artifact study for
@@ -56,12 +57,13 @@ type ArtifactResult struct {
 }
 
 // ArtifactStudy measures the portable-artifact pipeline end to end. Phase 1
-// covers every Table 1 kernel at Opt ∈ {0, 1}: artifact size, encode/decode
-// cost, and event vs comp vs byte wall-clock with bit-identity enforced
-// across all three. Phase 2 drives two serve instances sharing one artifact
+// covers every Table 1 kernel at Opt ∈ {0, 1}: artifact size, encode cost,
+// a cold compile against a decode, and the comp engine on the compiled
+// program against the decoded artifact, with bit-identity to the event
+// engine enforced. Phase 2 drives two serve instances sharing one artifact
 // directory over real HTTP: the first compiles each kernel cold (writing
 // artifacts behind), the second starts with an empty in-memory cache and a
-// warm disk, so its first byte-engine request per kernel must be served by
+// warm disk, so its first comp request per kernel must be served by
 // decoding — the cold-start path the artifact format exists to shorten.
 func ArtifactStudy(seed int64, scale float64) (*ArtifactResult, error) {
 	dims := map[string]int{
@@ -126,15 +128,35 @@ func ArtifactStudy(seed int64, scale float64) (*ArtifactResult, error) {
 				}
 			}
 			decUS := float64(time.Since(t0).Nanoseconds()) / 1000 / reps
+			// A cold compile is the work a decode replaces: custard, the
+			// optimizer and the comp lowering.
+			t0 = time.Now()
+			for r := 0; r < reps; r++ {
+				gc, err := custard.Compile(e, nil, sched)
+				if err == nil {
+					_, err = comp.Compile(gc)
+				}
+				if err != nil {
+					return nil, fmt.Errorf("artifact %s O%d: cold compile: %w", tc.Name, optLevel, err)
+				}
+			}
+			compileUS := float64(time.Since(t0).Nanoseconds()) / 1000 / reps
 
-			p, err := sim.NewProgram(g)
+			compiled, err := sim.NewProgram(g)
 			if err != nil {
 				return nil, fmt.Errorf("artifact %s O%d: program: %w", tc.Name, optLevel, err)
 			}
-			run := func(eng sim.EngineKind) (*sim.Result, float64, error) {
-				opt := SimOptions
-				opt.Engine = eng
-				res, err := p.Run(inputs, opt) // warmup; absorbs lowering/encoding
+			bp, err := prog.Decode(enc)
+			if err != nil {
+				return nil, fmt.Errorf("artifact %s O%d: decode: %w", tc.Name, optLevel, err)
+			}
+			loaded, err := sim.NewProgramFromArtifact(bp)
+			if err != nil {
+				return nil, fmt.Errorf("artifact %s O%d: artifact program: %w", tc.Name, optLevel, err)
+			}
+			run := func(p *sim.Program) (*sim.Result, float64, error) {
+				opt := sim.Options{Engine: sim.EngineComp}
+				res, err := p.Run(inputs, opt) // warmup; absorbs lowering
 				if err != nil {
 					return nil, 0, err
 				}
@@ -146,34 +168,34 @@ func ArtifactStudy(seed int64, scale float64) (*ArtifactResult, error) {
 				}
 				return res, float64(time.Since(t0).Microseconds()) / 1000 / reps, nil
 			}
-			rEv, wEv, err := run(sim.EngineEvent)
+			rEv, err := compiled.Run(inputs, sim.Options{})
 			if err != nil {
 				return nil, fmt.Errorf("artifact %s O%d: event run: %w", tc.Name, optLevel, err)
 			}
-			rCmp, wCmp, err := run(sim.EngineComp)
+			rCmp, wCmp, err := run(compiled)
 			if err != nil {
 				return nil, fmt.Errorf("artifact %s O%d: comp run: %w", tc.Name, optLevel, err)
 			}
-			rByt, wByt, err := run(sim.EngineByte)
+			rArt, wArt, err := run(loaded)
 			if err != nil {
-				return nil, fmt.Errorf("artifact %s O%d: byte run: %w", tc.Name, optLevel, err)
+				return nil, fmt.Errorf("artifact %s O%d: artifact run: %w", tc.Name, optLevel, err)
 			}
-			if rByt.Engine != sim.EngineByte {
-				return nil, fmt.Errorf("artifact %s O%d: fell back to %q", tc.Name, optLevel, rByt.Engine)
+			if rArt.Engine != sim.EngineComp {
+				return nil, fmt.Errorf("artifact %s O%d: artifact run on %q, want comp", tc.Name, optLevel, rArt.Engine)
 			}
-			if err := tensor.IdenticalBits(rEv.Output, rByt.Output); err != nil {
-				return nil, fmt.Errorf("artifact %s O%d: byte output is not bit-identical to event: %w", tc.Name, optLevel, err)
+			if err := tensor.IdenticalBits(rEv.Output, rArt.Output); err != nil {
+				return nil, fmt.Errorf("artifact %s O%d: artifact output is not bit-identical to event: %w", tc.Name, optLevel, err)
 			}
-			if err := tensor.IdenticalBits(rCmp.Output, rByt.Output); err != nil {
-				return nil, fmt.Errorf("artifact %s O%d: byte output is not bit-identical to comp: %w", tc.Name, optLevel, err)
+			if err := tensor.IdenticalBits(rCmp.Output, rArt.Output); err != nil {
+				return nil, fmt.Errorf("artifact %s O%d: artifact output is not bit-identical to compiled comp: %w", tc.Name, optLevel, err)
 			}
-			if err := checkGold(tc.Expr, inputs, rByt); err != nil {
+			if err := checkGold(tc.Expr, inputs, rArt); err != nil {
 				return nil, fmt.Errorf("artifact %s O%d: gold: %w", tc.Name, optLevel, err)
 			}
 			out.Rows = append(out.Rows, ArtifactRow{
 				Kernel: tc.Name, Opt: optLevel, Bytes: len(enc),
-				EncodeUS: encUS, DecodeUS: decUS,
-				WallMSEv: wEv, WallMSCmp: wCmp, WallMSByt: wByt,
+				CompileUS: compileUS, EncodeUS: encUS, DecodeUS: decUS,
+				WallMSCmp: wCmp, WallMSArt: wArt,
 				Identical: true,
 			})
 		}
@@ -199,9 +221,9 @@ func artifactServePhase(seed int64, scale float64) ([]ArtifactServePoint, error)
 
 	workload := serveWorkload(seed, scale)
 	for _, w := range workload {
-		// The disk cache serves functional engines only; pin every request
-		// to the artifact interpreter.
-		w.req.Options = &serve.WireOptions{Engine: "byte"}
+		// The disk cache serves the comp engine only; pin every request
+		// to it.
+		w.req.Options = &serve.WireOptions{Engine: string(sim.EngineComp)}
 	}
 	client := &http.Client{}
 
@@ -250,17 +272,18 @@ func artifactServePhase(seed int64, scale float64) ([]ArtifactServePoint, error)
 
 // RenderArtifact prints the artifact study.
 func RenderArtifact(r *ArtifactResult) string {
-	header := []string{"Kernel", "Opt", "Bytes", "Encode", "Decode", "Wall event (ms)", "Wall comp (ms)", "Wall byte (ms)", "Bit-identical"}
+	header := []string{"Kernel", "Opt", "Bytes", "Encode", "Cold compile", "Decode", "Wall comp (ms)", "Wall artifact (ms)", "Bit-identical"}
 	var body [][]string
 	for _, row := range r.Rows {
 		body = append(body, []string{
 			row.Kernel, fmt.Sprint(row.Opt), fmt.Sprint(row.Bytes),
-			fmt.Sprintf("%.1fus", row.EncodeUS), fmt.Sprintf("%.1fus", row.DecodeUS),
-			fmt.Sprintf("%.3f", row.WallMSEv), fmt.Sprintf("%.3f", row.WallMSCmp),
-			fmt.Sprintf("%.3f", row.WallMSByt), fmt.Sprint(row.Identical),
+			fmt.Sprintf("%.1fus", row.EncodeUS), fmt.Sprintf("%.1fus", row.CompileUS),
+			fmt.Sprintf("%.1fus", row.DecodeUS),
+			fmt.Sprintf("%.3f", row.WallMSCmp), fmt.Sprintf("%.3f", row.WallMSArt),
+			fmt.Sprint(row.Identical),
 		})
 	}
-	out := "Artifacts: Table 1 kernels, encode/decode cost and interpreter wall-clock (internal/prog)\n" + table(header, body)
+	out := "Artifacts: Table 1 kernels, cold compile vs artifact decode, comp on each (internal/prog)\n" + table(header, body)
 	header = []string{"Kernel", "Cold setup (compile)", "Disk setup (decode)", "Setup speedup"}
 	body = nil
 	for _, p := range r.Serve {

@@ -18,7 +18,7 @@ func TestArtifactStudy(t *testing.T) {
 		if !r.Identical {
 			t.Errorf("%s O%d: outputs not bit-identical", r.Kernel, r.Opt)
 		}
-		if r.Bytes <= 0 || r.EncodeUS <= 0 || r.DecodeUS <= 0 {
+		if r.Bytes <= 0 || r.EncodeUS <= 0 || r.DecodeUS <= 0 || r.CompileUS <= 0 {
 			t.Errorf("%s O%d: degenerate measurement %+v", r.Kernel, r.Opt, r)
 		}
 	}
@@ -30,7 +30,7 @@ func TestArtifactStudy(t *testing.T) {
 			t.Errorf("%s: setup times cold=%d disk=%d", p.Kernel, p.ColdSetupNS, p.DiskSetupNS)
 		}
 		if p.Cycles != 0 {
-			t.Errorf("%s: byte-engine serve point reported %d cycles, want 0", p.Kernel, p.Cycles)
+			t.Errorf("%s: comp serve point reported %d cycles, want 0", p.Kernel, p.Cycles)
 		}
 	}
 	if res.CPUs <= 0 {

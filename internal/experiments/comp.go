@@ -88,8 +88,7 @@ func CompStudy(seed int64, scale float64) ([]CompRow, error) {
 					return nil, fmt.Errorf("comp %s O%d: program: %w", tc.Name, optLevel, err)
 				}
 				run := func(eng sim.EngineKind) (*sim.Result, float64, error) {
-					opt := SimOptions
-					opt.Engine = eng
+					opt := sim.Options{Engine: eng}
 					res, err := p.Run(inputs, opt) // warmup; absorbs lowering
 					if err != nil {
 						return nil, 0, err

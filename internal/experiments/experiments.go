@@ -16,12 +16,6 @@ import (
 	"sam/internal/tensor"
 )
 
-// SimOptions is the simulation configuration shared by every experiment.
-// cmd/sambench overrides it (e.g. -engine=naive) to re-run the evaluation
-// under a different executor; the zero value selects the default
-// event-driven cycle engine.
-var SimOptions = sim.Options{}
-
 // compileRun compiles and simulates one statement, returning the result.
 func compileRun(expr string, formats lang.Formats, sched lang.Schedule, inputs map[string]*tensor.COO) (*sim.Result, *graph.Graph, error) {
 	e, err := lang.Parse(expr)
@@ -32,7 +26,7 @@ func compileRun(expr string, formats lang.Formats, sched lang.Schedule, inputs m
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := sim.Run(g, inputs, SimOptions)
+	res, err := sim.Run(g, inputs, sim.Options{})
 	if err != nil {
 		return nil, nil, err
 	}

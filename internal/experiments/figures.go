@@ -169,7 +169,7 @@ func Figure12(seed int64, scale float64) ([]Fig12Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	results, err := sim.RunBatch(jobs, SimOptions)
+	results, err := sim.RunBatch(jobs, sim.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +266,7 @@ func elementwiseCycles(cfg Fig13Config, b, c *tensor.COO, split int) (int, error
 		if err != nil {
 			return 0, err
 		}
-		res, err := sim.Run(g, inputs, SimOptions)
+		res, err := sim.Run(g, inputs, sim.Options{})
 		if err != nil {
 			return 0, err
 		}
@@ -285,7 +285,7 @@ func elementwiseCycles(cfg Fig13Config, b, c *tensor.COO, split int) (int, error
 		if err != nil {
 			return 0, err
 		}
-		res, err := sim.Run(g, map[string]*tensor.COO{"b": bs, "c": cs}, SimOptions)
+		res, err := sim.Run(g, map[string]*tensor.COO{"b": bs, "c": cs}, sim.Options{})
 		if err != nil {
 			return 0, err
 		}

@@ -11,12 +11,11 @@ import (
 	"sam/internal/tensor"
 )
 
-// OptRow is one kernel × engine × lane-count measurement of the optimizer
-// study: block count, simulated cycles, and wall-clock at levels 0 and 1,
-// with the O1 output proven bit-identical to O0.
+// OptRow is one kernel × lane-count measurement of the optimizer study on
+// the event engine: block count, simulated cycles, and wall-clock at levels
+// 0 and 1, with the O1 output proven bit-identical to O0.
 type OptRow struct {
 	Kernel    string  `json:"kernel"`
-	Engine    string  `json:"engine"`
 	Par       int     `json:"par"`
 	BlocksO0  int     `json:"blocks_o0"`
 	BlocksO1  int     `json:"blocks_o1"`
@@ -28,7 +27,7 @@ type OptRow struct {
 }
 
 // OptStudy measures the graph optimizer (internal/opt, Schedule.Opt) across
-// every Table 1 kernel, both cycle engines, and Par ∈ {1, 4}: each
+// every Table 1 kernel on the event engine at Par ∈ {1, 4}: each
 // configuration compiles and simulates at O0 and O1, records blocks, cycles
 // and wall-clock, and fails unless the two outputs are bit-identical
 // (inputs are integer-quantized, so even reassociated reductions must match
@@ -86,36 +85,32 @@ func OptStudy(seed int64, scale float64) ([]OptRow, error) {
 			if err != nil {
 				return nil, fmt.Errorf("opt %s par%d: compile O1: %w", tc.Name, par, err)
 			}
-			for _, eng := range []sim.EngineKind{sim.EngineEvent, sim.EngineNaive} {
-				opt := SimOptions
-				opt.Engine = eng
-				t0 := time.Now()
-				r0, err := sim.Run(g0, inputs, opt)
-				if err != nil {
-					return nil, fmt.Errorf("opt %s par%d %s: O0 run: %w", tc.Name, par, eng, err)
-				}
-				w0 := time.Since(t0)
-				t1 := time.Now()
-				r1, err := sim.Run(g1, inputs, opt)
-				if err != nil {
-					return nil, fmt.Errorf("opt %s par%d %s: O1 run: %w", tc.Name, par, eng, err)
-				}
-				w1 := time.Since(t1)
-				if err := tensor.IdenticalBits(r0.Output, r1.Output); err != nil {
-					return nil, fmt.Errorf("opt %s par%d %s: O1 output is not bit-identical to O0: %w", tc.Name, par, eng, err)
-				}
-				if err := checkGold(tc.Expr, inputs, r1); err != nil {
-					return nil, fmt.Errorf("opt %s par%d %s: gold: %w", tc.Name, par, eng, err)
-				}
-				rows = append(rows, OptRow{
-					Kernel: tc.Name, Engine: string(eng), Par: par,
-					BlocksO0: len(g0.Nodes), BlocksO1: len(g1.Nodes),
-					CyclesO0: r0.Cycles, CyclesO1: r1.Cycles,
-					WallMSO0:  float64(w0.Microseconds()) / 1000,
-					WallMSO1:  float64(w1.Microseconds()) / 1000,
-					Identical: true,
-				})
+			t0 := time.Now()
+			r0, err := sim.Run(g0, inputs, sim.Options{})
+			if err != nil {
+				return nil, fmt.Errorf("opt %s par%d: O0 run: %w", tc.Name, par, err)
 			}
+			w0 := time.Since(t0)
+			t1 := time.Now()
+			r1, err := sim.Run(g1, inputs, sim.Options{})
+			if err != nil {
+				return nil, fmt.Errorf("opt %s par%d: O1 run: %w", tc.Name, par, err)
+			}
+			w1 := time.Since(t1)
+			if err := tensor.IdenticalBits(r0.Output, r1.Output); err != nil {
+				return nil, fmt.Errorf("opt %s par%d: O1 output is not bit-identical to O0: %w", tc.Name, par, err)
+			}
+			if err := checkGold(tc.Expr, inputs, r1); err != nil {
+				return nil, fmt.Errorf("opt %s par%d: gold: %w", tc.Name, par, err)
+			}
+			rows = append(rows, OptRow{
+				Kernel: tc.Name, Par: par,
+				BlocksO0: len(g0.Nodes), BlocksO1: len(g1.Nodes),
+				CyclesO0: r0.Cycles, CyclesO1: r1.Cycles,
+				WallMSO0:  float64(w0.Microseconds()) / 1000,
+				WallMSO1:  float64(w1.Microseconds()) / 1000,
+				Identical: true,
+			})
 		}
 	}
 	return rows, nil
@@ -123,11 +118,11 @@ func OptStudy(seed int64, scale float64) ([]OptRow, error) {
 
 // RenderOpt prints the optimizer study.
 func RenderOpt(rows []OptRow) string {
-	header := []string{"Kernel", "Engine", "Par", "Blocks O0→O1", "Cycles O0", "Cycles O1", "Δcycles", "Wall O0 (ms)", "Wall O1 (ms)", "Bit-identical"}
+	header := []string{"Kernel", "Par", "Blocks O0→O1", "Cycles O0", "Cycles O1", "Δcycles", "Wall O0 (ms)", "Wall O1 (ms)", "Bit-identical"}
 	var body [][]string
 	for _, r := range rows {
 		body = append(body, []string{
-			r.Kernel, r.Engine, fmt.Sprint(r.Par),
+			r.Kernel, fmt.Sprint(r.Par),
 			fmt.Sprintf("%d→%d", r.BlocksO0, r.BlocksO1),
 			fmt.Sprint(r.CyclesO0), fmt.Sprint(r.CyclesO1),
 			fmt.Sprint(r.CyclesO0 - r.CyclesO1),

@@ -17,13 +17,13 @@ func TestOptStudy(t *testing.T) {
 	improved := map[string]bool{}
 	for _, r := range rows {
 		if !r.Identical {
-			t.Errorf("%s %s par%d: outputs not bit-identical", r.Kernel, r.Engine, r.Par)
+			t.Errorf("%s par%d: outputs not bit-identical", r.Kernel, r.Par)
 		}
 		if r.BlocksO1 > r.BlocksO0 {
 			t.Errorf("%s par%d: O1 grew blocks %d -> %d", r.Kernel, r.Par, r.BlocksO0, r.BlocksO1)
 		}
 		if r.CyclesO1 > r.CyclesO0 {
-			t.Errorf("%s %s par%d: O1 slower: %d vs %d cycles", r.Kernel, r.Engine, r.Par, r.CyclesO1, r.CyclesO0)
+			t.Errorf("%s par%d: O1 slower: %d vs %d cycles", r.Kernel, r.Par, r.CyclesO1, r.CyclesO0)
 		}
 		if r.BlocksO1 < r.BlocksO0 && r.CyclesO1 < r.CyclesO0 {
 			improved[r.Kernel] = true

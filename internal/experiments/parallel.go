@@ -73,7 +73,7 @@ func ParallelSpeedup(seed int64, scale float64, lanes []int) ([]ParallelPoint, e
 				Inputs: k.inputs,
 			})
 		}
-		results, err := sim.RunBatch(jobs, SimOptions)
+		results, err := sim.RunBatch(jobs, sim.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -92,7 +92,7 @@ func ParallelSpeedup(seed int64, scale float64, lanes []int) ([]ParallelPoint, e
 			if err != nil {
 				return nil, fmt.Errorf("parallel %s par=1: %w", k.name, err)
 			}
-			res, err := sim.Run(g, k.inputs, SimOptions)
+			res, err := sim.Run(g, k.inputs, sim.Options{})
 			if err != nil {
 				return nil, fmt.Errorf("parallel %s par=1: %w", k.name, err)
 			}

@@ -50,15 +50,18 @@ func randomInputs(rng *rand.Rand, e *lang.Einsum, dimOf func(v string) int) map[
 }
 
 // runDifferential compiles one (expr, formats, schedule) configuration at O0
-// and O1 and demands: never more blocks, never more simulated cycles on the
-// cycle engines, and bitwise-identical outputs across every supporting
-// engine and the requested Par lane counts.
+// and O1 and demands: never more blocks, never more simulated cycles, and
+// bitwise-identical outputs across the requested Par lane counts, all on
+// the event engine. (The event engine is checked against its tick-all
+// oracle over Table 1 × Opt × Par in internal/sim, and the comp engine
+// against the event engine in internal/comp.)
 func runDifferential(t *testing.T, name, expr string, formats lang.Formats, sched lang.Schedule, lanes []int, inputs map[string]*tensor.COO) {
 	t.Helper()
 	e, err := lang.Parse(expr)
 	if err != nil {
 		t.Fatalf("%s: parse: %v", name, err)
 	}
+	var ref *tensor.COO
 	for _, par := range lanes {
 		s0 := sched
 		s0.Par = par
@@ -79,45 +82,35 @@ func runDifferential(t *testing.T, name, expr string, formats lang.Formats, sche
 		if len(g1.Nodes) > len(g0.Nodes) {
 			t.Errorf("%s par%d: O1 grew the graph %d -> %d nodes", name, par, len(g0.Nodes), len(g1.Nodes))
 		}
-		var ref *tensor.COO
-		for _, eng := range []sim.EngineKind{sim.EngineEvent, sim.EngineNaive, sim.EngineFlow} {
-			if sim.CheckEngine(eng, g0) != nil {
-				continue
+		r0, err0 := sim.Run(g0, inputs, sim.Options{})
+		r1, err1 := sim.Run(g1, inputs, sim.Options{})
+		if err0 != nil || err1 != nil {
+			// A handful of exotic loop orders hit pre-existing lowering
+			// limits (e.g. a partial reduction scheduled outermost).
+			// The optimizer must not change whether a graph runs:
+			// failures are only tolerated in parity.
+			if (err0 == nil) != (err1 == nil) {
+				t.Errorf("%s par%d: run-failure parity broken: O0 err=%v, O1 err=%v", name, par, err0, err1)
 			}
-			if err := sim.CheckEngine(eng, g1); err != nil {
-				t.Errorf("%s par%d: O1 lost %s support: %v", name, par, eng, err)
-				continue
-			}
-			r0, err0 := sim.Run(g0, inputs, sim.Options{Engine: eng})
-			r1, err1 := sim.Run(g1, inputs, sim.Options{Engine: eng})
-			if err0 != nil || err1 != nil {
-				// A handful of exotic loop orders hit pre-existing lowering
-				// limits (e.g. a partial reduction scheduled outermost).
-				// The optimizer must not change whether a graph runs:
-				// failures are only tolerated in parity.
-				if (err0 == nil) != (err1 == nil) {
-					t.Errorf("%s par%d %s: run-failure parity broken: O0 err=%v, O1 err=%v", name, par, eng, err0, err1)
-				}
-				continue
-			}
-			if err := identical(r0.Output, r1.Output); err != nil {
-				t.Errorf("%s par%d %s: O1 output differs from O0: %v", name, par, eng, err)
-			}
-			if eng != sim.EngineFlow && r1.Cycles > r0.Cycles {
-				t.Errorf("%s par%d %s: O1 slower: %d cycles vs %d", name, par, eng, r1.Cycles, r0.Cycles)
-			}
-			if ref == nil {
-				ref = r0.Output
-			} else if err := identical(r1.Output, ref); err != nil {
-				t.Errorf("%s par%d %s: output differs across engines/lanes: %v", name, par, eng, err)
-			}
+			continue
+		}
+		if err := identical(r0.Output, r1.Output); err != nil {
+			t.Errorf("%s par%d: O1 output differs from O0: %v", name, par, err)
+		}
+		if r1.Cycles > r0.Cycles {
+			t.Errorf("%s par%d: O1 slower: %d cycles vs %d", name, par, r1.Cycles, r0.Cycles)
+		}
+		if ref == nil {
+			ref = r0.Output
+		} else if err := identical(r1.Output, ref); err != nil {
+			t.Errorf("%s par%d: output differs across lanes: %v", name, par, err)
 		}
 	}
 }
 
 // TestOptDifferentialKernels is the fixed half of the battery: every paper
 // kernel plus the repeated-operand shapes the optimizer exists for, across
-// formats, schedules, engines, and Par∈{1,2,4}.
+// formats, schedules, and Par∈{1,2,4}.
 func TestOptDifferentialKernels(t *testing.T) {
 	csr2 := lang.Formats{"B": lang.CSR(2)}
 	dense1 := lang.Formats{"c": lang.Uniform(1, fiber.Dense)}
@@ -228,7 +221,7 @@ func randomCase(seed int64) (name, expr string, sched lang.Schedule, inputs map[
 
 // TestOptDifferentialRandom is the randomized half of the battery: 60
 // seeded random (expression, schedule, data) draws, each checked across
-// engines and lanes like the fixed kernels.
+// lanes like the fixed kernels.
 func TestOptDifferentialRandom(t *testing.T) {
 	n := 60
 	if testing.Short() {

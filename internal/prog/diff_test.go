@@ -14,15 +14,17 @@ import (
 	"sam/internal/tensor"
 )
 
-// The artifact interpreter's correctness bar matches the compiled engine's:
-// bitwise COO equality against the event engine (tensor.IdenticalBits), plus
-// one invariant the in-process engines don't have — the same bits must come
-// out of a program that went through encode → decode with no access to the
-// source graph, as a separate process loading the artifact would run it.
+// An artifact is a source of a comp program, and its correctness bar
+// matches the compiled engine's: bitwise COO equality against the event
+// engine (tensor.IdenticalBits), plus one invariant the in-process engine
+// doesn't have — the same bits must come out of a program that went
+// through encode → decode with no access to the source graph, as a
+// separate process loading the artifact would run it.
 
-// byteInputs draws integer-exact inputs for a statement (the comp battery's
-// generator, reproduced here so the package stays self-contained).
-func byteInputs(rng *rand.Rand, e *lang.Einsum, dimOf func(v string) int) map[string]*tensor.COO {
+// artifactInputs draws integer-exact inputs for a statement (the comp
+// battery's generator, reproduced here so the package stays
+// self-contained).
+func artifactInputs(rng *rand.Rand, e *lang.Einsum, dimOf func(v string) int) map[string]*tensor.COO {
 	inputs := map[string]*tensor.COO{}
 	for _, a := range e.Accesses() {
 		if _, ok := inputs[a.Tensor]; ok {
@@ -47,13 +49,14 @@ func byteInputs(rng *rand.Rand, e *lang.Einsum, dimOf func(v string) int) map[st
 	return inputs
 }
 
-// runByteDifferential compiles one (expr, formats, schedule) configuration at
-// every requested (opt, par) point and checks the full artifact contract:
-// EngineByte through sim is bit-identical to the event and compiled engines
-// with run-failure parity, and the cross-process path — Encode(g), Decode,
-// NewProgramFromArtifact, Run with no graph in sight — produces the same bits
-// from a byte-stable artifact.
-func runByteDifferential(t *testing.T, name, expr string, formats lang.Formats, sched lang.Schedule, lanes []int, inputs map[string]*tensor.COO) {
+// runArtifactDifferential compiles one (expr, formats, schedule)
+// configuration at every requested (opt, par) point and checks the full
+// artifact contract: the cross-process path — Encode(g), Decode,
+// NewProgramFromArtifact, Run on comp with no graph in sight — produces
+// bits identical to the event engine and to comp on the graph, with
+// run-failure parity against both, from a byte-stable artifact that equals
+// the graph-backed program's own Program.Artifact.
+func runArtifactDifferential(t *testing.T, name, expr string, formats lang.Formats, sched lang.Schedule, lanes []int, inputs map[string]*tensor.COO) {
 	t.Helper()
 	e, err := lang.Parse(expr)
 	if err != nil {
@@ -71,75 +74,69 @@ func runByteDifferential(t *testing.T, name, expr string, formats lang.Formats, 
 				}
 				t.Fatalf("%s O%d: compile: %v", name, opt, err)
 			}
-			if err := sim.CheckEngine(sim.EngineByte, g); err != nil {
-				t.Errorf("%s par%d O%d: CheckEngine(byte) rejected a supported graph: %v", name, par, opt, err)
-				continue
-			}
-			ref, errRef := sim.Run(g, inputs, sim.Options{Engine: sim.EngineEvent})
-			got, errGot := sim.Run(g, inputs, sim.Options{Engine: sim.EngineByte})
-			cmp, errCmp := sim.Run(g, inputs, sim.Options{Engine: sim.EngineComp})
-			if errRef != nil || errGot != nil || errCmp != nil {
-				// The artifact interpreter must not change whether a graph
-				// runs — in either direction, and never diverging from comp.
-				if (errRef == nil) != (errGot == nil) {
-					t.Errorf("%s par%d O%d: run-failure parity broken: event err=%v, byte err=%v", name, par, opt, errRef, errGot)
-				}
-				if (errCmp == nil) != (errGot == nil) {
-					t.Errorf("%s par%d O%d: byte/comp failure parity broken: comp err=%v, byte err=%v", name, par, opt, errCmp, errGot)
-				}
-				continue
-			}
-			if got.Engine != sim.EngineByte {
-				t.Errorf("%s par%d O%d: supported graph fell back to %q", name, par, opt, got.Engine)
-			}
-			if got.Cycles != 0 {
-				t.Errorf("%s par%d O%d: byte reported %d cycles, want 0 (no cycle model)", name, par, opt, got.Cycles)
-			}
-			if err := tensor.IdenticalBits(ref.Output, got.Output); err != nil {
-				t.Errorf("%s par%d O%d: byte output differs from event: %v", name, par, opt, err)
-			}
-			if err := tensor.IdenticalBits(cmp.Output, got.Output); err != nil {
-				t.Errorf("%s par%d O%d: byte output differs from comp: %v", name, par, opt, err)
-			}
+			label := fmt.Sprintf("%s par%d O%d", name, par, opt)
 
-			// Cross-process path: serialize, forget the graph, reload, run.
+			// Cross-process path: serialize, forget the graph, reload.
 			enc, err := prog.Encode(g)
 			if err != nil {
-				t.Errorf("%s par%d O%d: encode: %v", name, par, opt, err)
+				t.Errorf("%s: encode: %v", label, err)
 				continue
 			}
 			bp, err := prog.Decode(enc)
 			if err != nil {
-				t.Errorf("%s par%d O%d: decode: %v", name, par, opt, err)
+				t.Errorf("%s: decode: %v", label, err)
 				continue
 			}
 			if re := prog.EncodeIR(bp.IR()); !bytes.Equal(re, enc) {
-				t.Errorf("%s par%d O%d: re-encode is not byte-stable", name, par, opt)
+				t.Errorf("%s: re-encode is not byte-stable", label)
+			}
+			gp, err := sim.NewProgram(g)
+			if err != nil {
+				t.Fatalf("%s: NewProgram: %v", label, err)
+			}
+			if art, err := gp.Artifact(); err != nil || !bytes.Equal(art, enc) {
+				t.Errorf("%s: Program.Artifact differs from Encode (err=%v)", label, err)
 			}
 			sp, err := sim.NewProgramFromArtifact(bp)
 			if err != nil {
-				t.Errorf("%s par%d O%d: NewProgramFromArtifact: %v", name, par, opt, err)
+				t.Errorf("%s: NewProgramFromArtifact: %v", label, err)
 				continue
 			}
-			loaded, err := sp.Run(inputs, sim.Options{Engine: sim.EngineByte})
-			if err != nil {
-				t.Errorf("%s par%d O%d: decoded artifact run failed where in-process byte ran: %v", name, par, opt, err)
+
+			ref, errRef := gp.Run(inputs, sim.Options{Engine: sim.EngineEvent})
+			cmp, errCmp := gp.Run(inputs, sim.Options{Engine: sim.EngineComp})
+			got, errGot := sp.Run(inputs, sim.Options{Engine: sim.EngineComp})
+			if errRef != nil || errGot != nil || errCmp != nil {
+				// Loading from an artifact must not change whether a graph
+				// runs — in either direction, and never diverging from comp.
+				if (errRef == nil) != (errGot == nil) {
+					t.Errorf("%s: run-failure parity broken: event err=%v, artifact err=%v", label, errRef, errGot)
+				}
+				if (errCmp == nil) != (errGot == nil) {
+					t.Errorf("%s: artifact/comp failure parity broken: comp err=%v, artifact err=%v", label, errCmp, errGot)
+				}
 				continue
 			}
-			if loaded.Engine != sim.EngineByte {
-				t.Errorf("%s par%d O%d: decoded artifact ran on %q, want byte", name, par, opt, loaded.Engine)
+			if got.Engine != sim.EngineComp {
+				t.Errorf("%s: decoded artifact ran on %q, want comp", label, got.Engine)
 			}
-			if err := tensor.IdenticalBits(got.Output, loaded.Output); err != nil {
-				t.Errorf("%s par%d O%d: decoded artifact output differs from in-process byte: %v", name, par, opt, err)
+			if got.Cycles != 0 {
+				t.Errorf("%s: artifact run reported %d cycles, want 0 (no cycle model)", label, got.Cycles)
+			}
+			if err := tensor.IdenticalBits(ref.Output, got.Output); err != nil {
+				t.Errorf("%s: artifact output differs from event: %v", label, err)
+			}
+			if err := tensor.IdenticalBits(cmp.Output, got.Output); err != nil {
+				t.Errorf("%s: artifact output differs from comp on the graph: %v", label, err)
 			}
 		}
 	}
 }
 
-// TestByteDifferentialKernels is the fixed half of the battery: every paper
+// TestArtifactDifferentialKernels is the fixed half of the battery: every paper
 // kernel plus gallop, locator, format and deep-reduction shapes, across
 // Opt ∈ {0, 1} and Par ∈ {1, 4}.
-func TestByteDifferentialKernels(t *testing.T) {
+func TestArtifactDifferentialKernels(t *testing.T) {
 	csr2 := lang.Formats{"B": lang.CSR(2)}
 	dense1 := lang.Formats{"c": lang.Uniform(1, fiber.Dense)}
 	llOut := lang.Formats{"X": lang.Uniform(2, fiber.LinkedList)}
@@ -174,15 +171,15 @@ func TestByteDifferentialKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, tc := range cases {
 		e := lang.MustParse(tc.expr)
-		inputs := byteInputs(rng, e, func(v string) int { return dims[v] })
-		runByteDifferential(t, tc.name, tc.expr, tc.formats, tc.sched, []int{1, 4}, inputs)
+		inputs := artifactInputs(rng, e, func(v string) int { return dims[v] })
+		runArtifactDifferential(t, tc.name, tc.expr, tc.formats, tc.sched, []int{1, 4}, inputs)
 	}
 }
 
-// TestByteDifferentialEmptyResults drives all-empty shapes: disjoint operand
-// supports make every intersection empty, the shapes where writer-table
-// replay in the interpreter diverges from the closure writers first.
-func TestByteDifferentialEmptyResults(t *testing.T) {
+// TestArtifactDifferentialEmptyResults drives all-empty shapes: disjoint
+// operand supports make every intersection empty, the shapes where a
+// decoded writer table diverges from the compiled one first.
+func TestArtifactDifferentialEmptyResults(t *testing.T) {
 	cases := []struct {
 		name  string
 		expr  string
@@ -207,14 +204,14 @@ func TestByteDifferentialEmptyResults(t *testing.T) {
 			tt.Append(float64(n+1), crd...)
 			inputs[a.Tensor] = tt
 		}
-		runByteDifferential(t, tc.name+"-empty", tc.expr, nil, lang.Schedule{LoopOrder: tc.order}, []int{1, 4}, inputs)
+		runArtifactDifferential(t, tc.name+"-empty", tc.expr, nil, lang.Schedule{LoopOrder: tc.order}, []int{1, 4}, inputs)
 	}
 }
 
-// byteRandomCase derives one randomized configuration from a seed: an
+// artifactRandomCase derives one randomized configuration from a seed: an
 // expression from the template pool, random dimensions, a random loop-order
 // permutation, and a random skip toggle.
-func byteRandomCase(seed int64) (name, expr string, sched lang.Schedule, inputs map[string]*tensor.COO) {
+func artifactRandomCase(seed int64) (name, expr string, sched lang.Schedule, inputs map[string]*tensor.COO) {
 	rng := rand.New(rand.NewSource(seed))
 	pool := []string{
 		"x(i) = B(i,j) * c(j)",
@@ -244,21 +241,21 @@ func byteRandomCase(seed int64) (name, expr string, sched lang.Schedule, inputs 
 	for _, v := range vars {
 		dims[v] = 4 + rng.Intn(9)
 	}
-	inputs = byteInputs(rng, e, func(v string) int { return dims[v] })
+	inputs = artifactInputs(rng, e, func(v string) int { return dims[v] })
 	name = fmt.Sprintf("seed%d:%s:%v", seed, expr, order)
 	return name, expr, sched, inputs
 }
 
-// TestByteDifferentialRandom is the randomized half of the battery: 60 seeded
+// TestArtifactDifferentialRandom is the randomized half of the battery: 60 seeded
 // random (expression, schedule, data) draws (12 in -short), each checked
 // across Opt ∈ {0, 1} and Par ∈ {1, 4}.
-func TestByteDifferentialRandom(t *testing.T) {
+func TestArtifactDifferentialRandom(t *testing.T) {
 	n := 60
 	if testing.Short() {
 		n = 12
 	}
 	for seed := int64(0); seed < int64(n); seed++ {
-		name, expr, sched, inputs := byteRandomCase(seed)
-		runByteDifferential(t, name, expr, nil, sched, []int{1, 4}, inputs)
+		name, expr, sched, inputs := artifactRandomCase(seed)
+		runArtifactDifferential(t, name, expr, nil, sched, []int{1, 4}, inputs)
 	}
 }

@@ -17,19 +17,6 @@ type Program struct {
 	enc []byte
 }
 
-// Load wraps an already-lowered IR as a Program, materializing it and
-// computing its canonical encoding. This is the in-process path (no decode):
-// sim uses it to build the artifact interpreter's program straight from a
-// compilation, guaranteeing the bytes it caches and the program it runs
-// agree.
-func Load(ir *comp.IR) (*Program, error) {
-	cp, err := comp.Materialize(ir)
-	if err != nil {
-		return nil, err
-	}
-	return &Program{ir: ir, cp: cp, enc: EncodeIR(ir)}, nil
-}
-
 // Bytes returns the canonical encoded artifact. The slice is shared, not
 // copied; callers must not mutate it.
 func (p *Program) Bytes() []byte { return p.enc }

@@ -27,8 +27,8 @@ func TestEngineCounters(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	engines := []string{"", "event", "comp", "comp", "flow", "naive"}
-	wantRuns := map[string]int64{"event": 2, "comp": 2, "flow": 1, "naive": 1}
+	engines := []string{"", "event", "comp", "comp"}
+	wantRuns := map[string]int64{"event": 2, "comp": 2}
 	for i, eng := range engines {
 		req, _ := spmvRequest(int64(i+1), 0, eng)
 		resp, body := postJSON(t, ts.URL+"/v1/evaluate", req)
@@ -70,21 +70,45 @@ func TestEngineCounters(t *testing.T) {
 }
 
 // TestUnknownEngineRejected checks an unregistered engine name is a 400
-// whose message lists the registered engines, comp included.
+// whose message lists the registered engines.
 func TestUnknownEngineRejected(t *testing.T) {
 	s := NewServer(Config{Workers: 1})
 	defer s.Close()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	req, _ := spmvRequest(1, 0, "bogus")
-	resp, body := postJSON(t, ts.URL+"/v1/evaluate", req)
+	wantEngineRejected(t, ts.URL, "bogus")
+}
+
+// wantEngineRejected posts an SpMV request naming the engine and demands a
+// 400 whose error lists every registered engine.
+func wantEngineRejected(t *testing.T, url, engine string) {
+	t.Helper()
+	req, _ := spmvRequest(1, 0, engine)
+	resp, body := postJSON(t, url+"/v1/evaluate", req)
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
+		t.Fatalf("engine %q: status %d, want 400: %s", engine, resp.StatusCode, body)
 	}
-	for _, eng := range []string{"event", "naive", "flow", "comp"} {
-		if !strings.Contains(string(body), eng) {
-			t.Errorf("error %s does not list engine %q", body, eng)
+	var er ErrorResponse
+	decode(t, body, &er)
+	for _, eng := range []string{`"event"`, `"comp"`} {
+		if !strings.Contains(er.Error, eng) {
+			t.Errorf("engine %q: error %q does not list engine %s", engine, er.Error, eng)
 		}
+	}
+}
+
+// TestRetiredEnginesRejected pins the engine names that are no longer
+// engine kinds — the tick-all loop is a test oracle, the goroutine executor
+// is gone, and an artifact is a source of a comp program — as 400s whose
+// message lists the two registered engines.
+func TestRetiredEnginesRejected(t *testing.T) {
+	s := NewServer(Config{Workers: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	for _, retired := range []string{"naive", "flow", "byte"} {
+		t.Run(retired, func(t *testing.T) { wantEngineRejected(t, ts.URL, retired) })
 	}
 }

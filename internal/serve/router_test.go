@@ -178,7 +178,7 @@ func TestRouterDifferential(t *testing.T) {
 
 	t.Run("evaluate", func(t *testing.T) {
 		for seed := int64(1); seed <= 4; seed++ {
-			for _, engine := range []string{"", "naive", "flow", "comp"} {
+			for _, engine := range []string{"", "event", "comp"} {
 				req, _ := spmvRequest(seed, 1, engine)
 				resp1, body1 := postJSON(t, single.URL+"/v1/evaluate", req)
 				resp2, body2 := postJSON(t, router.URL+"/v1/evaluate", req)
@@ -317,34 +317,40 @@ func TestRouterDifferential(t *testing.T) {
 // once it is back and passing probes.
 func TestRouterEjectionAndRecovery(t *testing.T) {
 	u1, stop1 := startShardOn(t, "127.0.0.1:0", Config{})
-	defer stop1()
 	u2, stop2 := startShardOn(t, "127.0.0.1:0", Config{})
+	// Probes run often so the revived shard rejoins quickly, but failing
+	// probes never eject: a probe landing between the kill and the next
+	// request would otherwise eject the shard first and remap the key, so
+	// the request under test would never see the 503. The proxy failure
+	// ejects immediately on its own.
 	rt, router := startRouter(t, RouterConfig{
 		Shards:        []string{u1, u2},
 		ProbeInterval: 20 * time.Millisecond,
-		FailAfter:     1,
+		FailAfter:     1 << 20,
 		RetryAfter:    20 * time.Millisecond,
 	})
 
-	// Find a request whose key the second shard owns, so its death is
-	// observable through the router.
-	var req *EvaluateRequest
-	for seed := int64(1); ; seed++ {
-		r, _ := spmvRequest(seed, 1, "")
-		body, _ := json.Marshal(r)
-		if sh := rt.route(rt.routingKey(body)); sh != nil && sh.url == u2 {
-			req = r
-			break
-		}
-		if seed > 500 {
-			t.Fatal("no seed routed to shard 2")
-		}
+	// Kill whichever shard owns the request's key, so its death is
+	// observable through the router. The key is the canonical program key,
+	// which depends on the expression and schedule but not the data, so
+	// the owner follows from how the loopback ports hash: pick the victim
+	// from the ring rather than searching for a request.
+	req, _ := spmvRequest(1, 1, "")
+	body, _ := json.Marshal(req)
+	owner := rt.route(rt.routingKey(body))
+	if owner == nil {
+		t.Fatal("request routed to no shard")
 	}
+	victim, stopVictim, stopSurvivor := u2, stop2, stop1
+	if owner.url == u1 {
+		victim, stopVictim, stopSurvivor = u1, stop1, stop2
+	}
+	defer stopSurvivor()
 	if resp, body := postJSON(t, router.URL+"/v1/evaluate", req); resp.StatusCode != http.StatusOK {
 		t.Fatalf("pre-death evaluate: status %d: %s", resp.StatusCode, body)
 	}
 
-	stop2()
+	stopVictim()
 	resp, _ := postJSON(t, router.URL+"/v1/evaluate", req)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("first post-death request: status %d, want 503", resp.StatusCode)
@@ -368,8 +374,8 @@ func TestRouterEjectionAndRecovery(t *testing.T) {
 	}
 
 	// Resurrect the shard on its old address; the probe loop re-admits it.
-	addr := strings.TrimPrefix(u2, "http://")
-	var stop2b func()
+	addr := strings.TrimPrefix(victim, "http://")
+	var stopRevived func()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		// The OS may briefly hold the port; retry the bind.
@@ -378,7 +384,7 @@ func TestRouterEjectionAndRecovery(t *testing.T) {
 		if err == nil {
 			hs := &http.Server{Handler: s}
 			go hs.Serve(ln)
-			stop2b = func() { hs.Close(); s.Close() }
+			stopRevived = func() { hs.Close(); s.Close() }
 			break
 		}
 		s.Close()
@@ -387,7 +393,7 @@ func TestRouterEjectionAndRecovery(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	defer stop2b()
+	defer stopRevived()
 	for {
 		if st := rt.Stats(); st.ShardsLive == 2 && st.RouterRejoins >= 1 {
 			break

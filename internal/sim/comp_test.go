@@ -130,7 +130,7 @@ func TestCompProgramReuse(t *testing.T) {
 // engine including comp.
 func TestEngineRegistry(t *testing.T) {
 	kinds := Engines()
-	want := []EngineKind{EngineEvent, EngineNaive, EngineFlow, EngineComp, EngineByte}
+	want := []EngineKind{EngineEvent, EngineComp}
 	if len(kinds) != len(want) {
 		t.Fatalf("Engines() = %v, want %v", kinds, want)
 	}

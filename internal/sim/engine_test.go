@@ -133,60 +133,29 @@ func TestEngineEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("compile: %v", err)
 				}
-				naiveOpt := tc.opt
-				naiveOpt.Engine = EngineNaive
-				want, err := Run(g, inputs, naiveOpt)
-				if err != nil {
-					t.Fatalf("naive: %v", err)
+				event, errEvent := Run(g, inputs, tc.opt)
+				naive, errNaive := runNaive(g, inputs, tc.opt)
+				if errEvent != nil || errNaive != nil {
+					t.Fatalf("event: %v, naive: %v", errEvent, errNaive)
 				}
-				eventOpt := tc.opt
-				eventOpt.Engine = EngineEvent
-				got, err := Run(g, inputs, eventOpt)
-				if err != nil {
-					t.Fatalf("event: %v", err)
-				}
-				if got.Cycles != want.Cycles {
-					t.Errorf("cycles: event %d, naive %d", got.Cycles, want.Cycles)
-				}
-				if !reflect.DeepEqual(got.Output, want.Output) {
-					t.Errorf("outputs differ:\n event %v\n naive %v", got.Output, want.Output)
-				}
-				if len(got.Streams) != len(want.Streams) {
-					t.Fatalf("stream sets differ: %d vs %d", len(got.Streams), len(want.Streams))
-				}
-				for label, ws := range want.Streams {
-					gs, ok := got.Streams[label]
-					if !ok {
-						t.Errorf("stream %q missing from event run", label)
-						continue
-					}
-					if *gs != *ws {
-						t.Errorf("stream %q stats: event %+v, naive %+v", label, *gs, *ws)
-					}
-				}
-				// The functional executor must agree on the output where it
-				// supports the graph (no cycle counts to compare).
-				flowOpt := tc.opt
-				flowOpt.Engine = EngineFlow
-				if fres, err := Run(g, inputs, flowOpt); err == nil {
-					if err := tensor.Equal(fres.Output, want.Output, 1e-9); err != nil {
-						t.Errorf("flow output disagrees: %v", err)
-					}
+				if err := sameCycleRun(event, naive, nil, nil); err != nil {
+					t.Error(err)
 				}
 			})
 		}
 	}
 }
 
-// TestEngineEquivalenceErrors checks that both cycle engines agree on
-// failure behavior: a cycle-limit abort reports the same cycle count.
+// TestEngineEquivalenceErrors checks that the event scheduler and its
+// tick-all oracle agree on failure behavior: a cycle-limit abort reports
+// the same cycle count.
 func TestEngineEquivalenceErrors(t *testing.T) {
 	inputs, e := corpusInputs("X(i,j) = B(i,k) * C(k,j)", 7)
 	g, err := custard.Compile(e, nil, lang.Schedule{LoopOrder: []string{"i", "k", "j"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, errNaive := Run(g, inputs, Options{MaxCycles: 50, Engine: EngineNaive})
+	_, errNaive := runNaive(g, inputs, Options{MaxCycles: 50})
 	_, errEvent := Run(g, inputs, Options{MaxCycles: 50, Engine: EngineEvent})
 	if errNaive == nil || errEvent == nil {
 		t.Fatalf("expected cycle-limit errors, got naive=%v event=%v", errNaive, errEvent)

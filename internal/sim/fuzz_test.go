@@ -161,7 +161,7 @@ func TestFuzzEngineEquivalence(t *testing.T) {
 		}
 		caps := []int{0, 2, 7}
 		cap := caps[r.Intn(len(caps))]
-		naive, errNaive := Run(g, inputs, Options{Engine: EngineNaive, QueueCap: cap})
+		naive, errNaive := runNaive(g, inputs, Options{QueueCap: cap})
 		event, errEvent := Run(g, inputs, Options{Engine: EngineEvent, QueueCap: cap})
 		if errNaive != nil || errEvent != nil {
 			// Tiny bounded queues can genuinely deadlock a graph (real

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"sam/internal/custard"
-	"sam/internal/graph"
 	"sam/internal/lang"
 	"sam/internal/tensor"
 )
@@ -24,9 +23,6 @@ func quantizeInputs(r *rand.Rand, inputs map[string]*tensor.COO) {
 	}
 }
 
-// parEngines is the engine matrix every parallel graph must agree across.
-var parEngines = []EngineKind{EngineEvent, EngineNaive, EngineFlow}
-
 // parKernel is one fixed-kernel configuration of the lane battery. join
 // classifies the cycle expectation: "strict" joins (a reduction shrinks the
 // serialized output below the forked compute streams) must beat Par=1;
@@ -42,7 +38,7 @@ type parKernel struct {
 }
 
 // TestParKernelMatrix runs the paper's evaluation kernels under every lane
-// count and engine: outputs must be bit-identical to Par=1 and to the gold
+// count on the event scheduler and its tick-all oracle: outputs must be bit-identical to Par=1 and to the gold
 // model, and on kernels with a reduction the event engine must simulate
 // strictly fewer cycles than Par=1 (the join streams are smaller than the
 // forked compute streams). Elementwise kernels join at full stream rate, so
@@ -98,28 +94,26 @@ func TestParKernelMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: compile par%d: %v", k.name, p, err)
 			}
-			for _, eng := range parEngines {
-				res, err := Run(gp, inputs, Options{Engine: eng})
+			for _, r := range cycleRunners {
+				res, err := r.eng.Run(gp, inputs, Options{})
 				if err != nil {
-					t.Fatalf("%s par%d %s: %v", k.name, p, eng, err)
+					t.Fatalf("%s par%d %s: %v", k.name, p, r.name, err)
 				}
 				if err := tensor.Equal(res.Output, base.Output, 0); err != nil {
-					t.Fatalf("%s par%d %s vs par1: %v", k.name, p, eng, err)
+					t.Fatalf("%s par%d %s vs par1: %v", k.name, p, r.name, err)
 				}
 				if err := tensor.Equal(res.Output, want, 0); err != nil {
-					t.Fatalf("%s par%d %s vs gold: %v", k.name, p, eng, err)
+					t.Fatalf("%s par%d %s vs gold: %v", k.name, p, r.name, err)
 				}
-				if eng != EngineFlow {
-					bound := base.Cycles
-					switch k.join {
-					case "elem":
-						bound = base.Cycles + 64
-					case "combine":
-						bound = 2*base.Cycles + 64
-					}
-					if res.Cycles > bound {
-						t.Errorf("%s par%d %s: %d cycles, past the %s bound %d (par1 %d)", k.name, p, eng, res.Cycles, k.join, bound, base.Cycles)
-					}
+				bound := base.Cycles
+				switch k.join {
+				case "elem":
+					bound = base.Cycles + 64
+				case "combine":
+					bound = 2*base.Cycles + 64
+				}
+				if res.Cycles > bound {
+					t.Errorf("%s par%d %s: %d cycles, past the %s bound %d (par1 %d)", k.name, p, r.name, res.Cycles, k.join, bound, base.Cycles)
 				}
 			}
 		}
@@ -203,13 +197,13 @@ func TestFuzzParLaneEquivalence(t *testing.T) {
 			// the reference for those.
 			continue
 		}
-		for _, eng := range parTrialEngines(g1, inputs) {
-			res, err := Run(gp, inputs, Options{Engine: eng})
+		for _, r := range cycleRunners {
+			res, err := r.eng.Run(gp, inputs, Options{})
 			if err != nil {
-				t.Fatalf("trial %d %q par%d %s: %v", trial, expr, p, eng, err)
+				t.Fatalf("trial %d %q par%d %s: %v", trial, expr, p, r.name, err)
 			}
 			if err := tensor.Equal(res.Output, base.Output, 0); err != nil {
-				t.Fatalf("trial %d %q par%d %s vs par1: %v", trial, expr, p, eng, err)
+				t.Fatalf("trial %d %q par%d %s vs par1: %v", trial, expr, p, r.name, err)
 			}
 		}
 		executed++
@@ -218,17 +212,6 @@ func TestFuzzParLaneEquivalence(t *testing.T) {
 		t.Fatalf("only %d/200 random statements executed under Par; generator or compiler too restrictive", executed)
 	}
 	t.Logf("executed %d/200 random statements under Par", executed)
-}
-
-// parTrialEngines returns the engines a fuzz trial compares: the two cycle
-// engines always, plus flow when the sequential graph runs on it (flow does
-// not support every block the adversarial corpus can produce, e.g. reducers
-// beyond n=2).
-func parTrialEngines(g1 *graph.Graph, inputs map[string]*tensor.COO) []EngineKind {
-	if _, err := Run(g1, inputs, Options{Engine: EngineFlow}); err != nil {
-		return []EngineKind{EngineEvent, EngineNaive}
-	}
-	return parEngines
 }
 
 // TestFuzzParRandomLoopOrders sweeps random loop orders (covering the
@@ -281,13 +264,13 @@ func TestFuzzParRandomLoopOrders(t *testing.T) {
 		if err != nil {
 			continue // partial-expression outermost reduction: Par refuses
 		}
-		for _, eng := range parTrialEngines(g1, inputs) {
-			res, err := Run(gp, inputs, Options{Engine: eng})
+		for _, r := range cycleRunners {
+			res, err := r.eng.Run(gp, inputs, Options{})
 			if err != nil {
-				t.Fatalf("trial %d %q order %v par%d %s: %v", trial, expr, order, p, eng, err)
+				t.Fatalf("trial %d %q order %v par%d %s: %v", trial, expr, order, p, r.name, err)
 			}
 			if err := tensor.Equal(res.Output, base.Output, 0); err != nil {
-				t.Fatalf("trial %d %q order %v par%d %s vs par1: %v", trial, expr, order, p, eng, err)
+				t.Fatalf("trial %d %q order %v par%d %s vs par1: %v", trial, expr, order, p, r.name, err)
 			}
 		}
 		executed++

@@ -25,28 +25,17 @@ type Program struct {
 	g    *graph.Graph
 	fp   string
 	plan *bind.Plan
-	// flowErr caches CheckEngine(EngineFlow, g): the support check is
-	// input-independent, so it is paid once here, not per request.
-	flowErr error
 
 	// The compiled (internal/comp) lowering is built lazily on the first
-	// comp-engine run and reused for the program's lifetime, so cached
-	// programs in the serving layer amortize lowering exactly like the
-	// wiring plan. compErr caches lowering rejection (unsupported blocks),
-	// which triggers the event-engine fallback.
+	// comp-engine run or Artifact call and reused for the program's
+	// lifetime, so cached programs in the serving layer amortize lowering
+	// exactly like the wiring plan. compErr caches lowering rejection
+	// (unsupported blocks), which triggers the event-engine fallback.
+	// Artifact-backed programs (see NewProgramFromArtifact) have compProg
+	// pre-set from the decoded artifact and no graph.
 	compOnce sync.Once
 	compProg *comp.Program
 	compErr  error
-
-	// The byte-artifact form (internal/prog) is built lazily on the first
-	// byte-engine run or Artifact call: the graph is lowered, encoded to
-	// the portable byte format, and decoded back, so the interpreter
-	// genuinely executes the decoded bytes — the same object a cross-
-	// process load would produce. Artifact-backed programs (see
-	// NewProgramFromArtifact) have byteProg pre-set and no graph.
-	byteOnce sync.Once
-	byteProg *prog.Program
-	byteErr  error
 
 	// labels holds each edge's producer-side "node/port" stream label.
 	labels []string
@@ -73,7 +62,6 @@ func NewProgram(g *graph.Graph) (*Program, error) {
 		inEdge:  make(map[portKey]int, len(g.Edges)),
 		groupOf: map[portKey]int{},
 	}
-	p.flowErr = CheckEngine(EngineFlow, g)
 	for i, e := range g.Edges {
 		p.labels[i] = fmt.Sprintf("%s/%s", g.Nodes[e.From].Label, e.FromPort)
 		p.inEdge[portKey{e.To, e.ToPort}] = i
@@ -89,27 +77,18 @@ func NewProgram(g *graph.Graph) (*Program, error) {
 	return p, nil
 }
 
-// NewProgramFromArtifact wraps a loaded byte artifact as a Program with no
-// source graph. The artifact's embedded metadata supplies the fingerprint
-// and the binding plan, and both functional engines are available: the byte
-// interpreter runs the decoded program directly and the comp engine reuses
-// its materialized closures (they are the same object — the artifact format
-// is the serialized form of comp's lowering). The cycle engines and the
-// goroutine executor need the graph itself and report a descriptive error
+// NewProgramFromArtifact wraps a decoded artifact as a Program with no
+// source graph: the artifact is a source of a comp program, so the program
+// runs on EngineComp with the artifact's materialized closures (the
+// artifact format is the serialized form of comp's lowering), and its
+// embedded metadata supplies the fingerprint and the binding plan. The
+// event engine needs the graph itself and reports a descriptive error
 // through CheckEngine/Run.
 func NewProgramFromArtifact(bp *prog.Program) (*Program, error) {
 	if bp == nil {
 		return nil, fmt.Errorf("sim: nil artifact")
 	}
-	p := &Program{
-		fp:   bp.Fingerprint(),
-		plan: bp.Plan(),
-		flowErr: fmt.Errorf("sim: engine %q cannot run artifact-backed program %q: the goroutine executor needs the source graph (artifact engines: %q, %q)",
-			EngineFlow, bp.Name(), EngineByte, EngineComp),
-		byteProg: bp,
-		compProg: bp.Compiled(),
-	}
-	p.byteOnce.Do(func() {})
+	p := &Program{fp: bp.Fingerprint(), plan: bp.Plan(), compProg: bp.Compiled()}
 	p.compOnce.Do(func() {})
 	return p, nil
 }
@@ -124,10 +103,7 @@ func (p *Program) name() string {
 	if p.g != nil {
 		return p.g.Name
 	}
-	if p.byteProg != nil {
-		return p.byteProg.Name()
-	}
-	return "<program>"
+	return p.compProg.IR().Name
 }
 
 // compProgram returns the program's compiled-engine lowering, building it on
@@ -140,27 +116,16 @@ func (p *Program) compProgram() (*comp.Program, error) {
 	return p.compProg, p.compErr
 }
 
-// byteProgram returns the program's byte-artifact form, building it on
-// first use via a full encode→decode round trip. An error means the graph
-// is outside the compiled block set and the byte engine must fall back to
-// the event engine, exactly like compProgram.
-func (p *Program) byteProgram() (*prog.Program, error) {
-	p.byteOnce.Do(func() {
-		enc, err := prog.Encode(p.g)
-		if err != nil {
-			p.byteErr = err
-			return
-		}
-		p.byteProg, p.byteErr = prog.Decode(enc)
-	})
-	return p.byteProg, p.byteErr
-}
-
-// Artifact returns the program's portable byte-artifact form (building it
-// on first use), the unit the serving disk cache and samsim -emit persist.
-// Graphs outside the compiled block set have no artifact form and error.
-func (p *Program) Artifact() (*prog.Program, error) {
-	return p.byteProgram()
+// Artifact returns the program's portable encoded form (internal/prog), the
+// bytes the serving disk cache persists: the canonical encoding of the comp
+// lowering, built on first use. Graphs outside the compiled block set have
+// no artifact form and error.
+func (p *Program) Artifact() ([]byte, error) {
+	cp, err := p.compProgram()
+	if err != nil {
+		return nil, err
+	}
+	return prog.EncodeIR(cp.IR()), nil
 }
 
 // Fingerprint returns the graph's canonical fingerprint (see
@@ -175,16 +140,12 @@ func (p *Program) CheckEngine(kind EngineKind) error {
 	if _, err := EngineFor(kind); err != nil {
 		return err
 	}
-	if kind == EngineFlow {
-		return p.flowErr
-	}
-	if p.g == nil {
-		switch kind {
-		case EngineByte, EngineComp:
-		default:
-			return fmt.Errorf("sim: engine %q cannot run an artifact-backed program: cycle engines need the source graph (artifact engines: %q, %q)",
-				kind, EngineByte, EngineComp)
+	if p.g == nil && kind != EngineComp {
+		if kind == "" {
+			kind = EngineEvent
 		}
+		return fmt.Errorf("sim: engine %q cannot run artifact-backed program %q: the cycle model needs the source graph (artifact programs run on %q)",
+			kind, p.name(), EngineComp)
 	}
 	return nil
 }

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"sam/internal/custard"
 	"sam/internal/graph"
 	"sam/internal/lang"
+	"sam/internal/prog"
 	"sam/internal/tensor"
 )
 
@@ -29,10 +31,10 @@ func identical(t *testing.T, label string, got, want *Result) {
 }
 
 // TestProgramDifferential proves cached-program execution is bit-identical
-// to uncached sim.Run: for a battery of kernels, every engine, and Par in
-// {1, 4}, a Program built once and run repeatedly (the cache hit path) must
-// reproduce the fresh-compile path exactly, including cycle counts on the
-// cycle engines.
+// to uncached sim.Run: for a battery of kernels, the event engine and its
+// tick-all oracle, and Par in {1, 4}, a Program built once and run
+// repeatedly (the cache hit path) must reproduce the fresh-compile path
+// exactly, including cycle counts.
 func TestProgramDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	b := tensor.UniformRandom("B", rng, 300, 60, 50)
@@ -57,16 +59,15 @@ func TestProgramDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s par=%d: NewProgram: %v", k.name, par, err)
 			}
-			for _, kind := range []EngineKind{EngineEvent, EngineNaive, EngineFlow} {
-				label := fmt.Sprintf("%s par=%d %s", k.name, par, kind)
-				opt := Options{Engine: kind}
-				fresh, err := Run(g, k.inputs, opt)
+			for _, r := range cycleRunners {
+				label := fmt.Sprintf("%s par=%d %s", k.name, par, r.name)
+				fresh, err := r.eng.Run(g, k.inputs, Options{})
 				if err != nil {
 					t.Fatalf("%s: uncached: %v", label, err)
 				}
 				// Two cached runs: the second exercises genuine reuse.
 				for trial := 0; trial < 2; trial++ {
-					cached, err := prog.Run(k.inputs, opt)
+					cached, err := r.eng.RunProgram(prog, k.inputs, Options{})
 					if err != nil {
 						t.Fatalf("%s: cached run %d: %v", label, trial, err)
 					}
@@ -169,10 +170,11 @@ func TestNewProgramRejectsInvalid(t *testing.T) {
 	}
 }
 
-// TestCheckEngineFlowLimits checks the up-front engine support validation:
-// gallop and bitvector graphs are rejected for the flow engine with a
-// descriptive error, while supported graphs (including Par graphs) pass.
-func TestCheckEngineFlowLimits(t *testing.T) {
+// TestCheckEngine checks the up-front engine validation: both engines accept
+// every graph (plain, Par and gallop), an unknown engine errors with the
+// registry, and an artifact-backed program refuses the event engine, which
+// needs the source graph.
+func TestCheckEngine(t *testing.T) {
 	spmv := lang.MustParse("x(i) = B(i,j) * c(j)")
 	plain, err := custard.Compile(spmv, nil, lang.Schedule{})
 	if err != nil {
@@ -186,26 +188,35 @@ func TestCheckEngineFlowLimits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []EngineKind{EngineEvent, EngineNaive, EngineFlow} {
-		if err := CheckEngine(kind, plain); err != nil {
-			t.Errorf("CheckEngine(%s, plain) = %v", kind, err)
+	for _, kind := range Engines() {
+		for _, g := range []*graph.Graph{plain, par, gallop} {
+			if err := CheckEngine(kind, g); err != nil {
+				t.Errorf("CheckEngine(%s, %s) = %v", kind, g.Name, err)
+			}
 		}
-		if err := CheckEngine(kind, par); err != nil {
-			t.Errorf("CheckEngine(%s, par) = %v", kind, err)
+	}
+	if err := CheckEngine("warp", plain); err == nil || !strings.Contains(err.Error(), `"comp"`) {
+		t.Errorf("CheckEngine with unknown engine = %v, want the registry listed", err)
+	}
+	enc, err := prog.Encode(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp, err := prog.Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewProgramFromArtifact(bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.CheckEngine(EngineComp); err != nil {
+		t.Errorf("artifact program CheckEngine(comp) = %v", err)
+	}
+	for _, kind := range []EngineKind{"", EngineEvent} {
+		if err := p.CheckEngine(kind); err == nil || !strings.Contains(err.Error(), "source graph") {
+			t.Errorf("artifact program CheckEngine(%q) = %v, want a source-graph error", kind, err)
 		}
-	}
-	if err := CheckEngine(EngineFlow, gallop); err == nil {
-		t.Errorf("CheckEngine(flow, gallop graph) = nil, want descriptive error")
-	}
-	if err := CheckEngine(EngineEvent, gallop); err != nil {
-		t.Errorf("CheckEngine(event, gallop graph) = %v", err)
-	}
-	if err := CheckEngine("warp", plain); err == nil {
-		t.Errorf("CheckEngine with unknown engine = nil error")
-	}
-	// The engine itself refuses up front, too.
-	if _, err := Run(gallop, nil, Options{Engine: EngineFlow}); err == nil {
-		t.Errorf("flow Run on gallop graph = nil error")
 	}
 }
 

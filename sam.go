@@ -14,35 +14,29 @@
 //	res, err := sam.Simulate(g, sam.Inputs{"B": b, "c": c}, sam.Options{})
 //	fmt.Println(res.Cycles, res.Output)
 //
-// Simulation runs on one of five engines selected by Options.Engine: the
-// default event-driven ready-set scheduler (EngineEvent), which ticks only
-// blocks with newly visible input, freed backpressure space, or pending
-// internal work; the naive tick-all reference loop (EngineNaive), which is
-// bit-identical and exists for differential testing; the functional
-// goroutine-per-block executor (EngineFlow); and the compiled co-iteration
-// engine (EngineComp), which lowers the graph once into a tree of Go
-// closures that walk the bound fibertree storage directly — no token
-// queues, no per-cycle scheduling — and is the fastest way to compute a
-// kernel's output; and the artifact interpreter (EngineByte), which runs
-// the same lowering from a portable serialized artifact through a flat
-// dispatch loop — the engine behind programs loaded from .sambc files.
-// EngineFlow's limitations are documented on the
-// sim.EngineFlow constant (re-exported here): it computes outputs only —
-// no cycle counts, no stream statistics — and rejects graphs using gallop
-// or bitvector blocks up front via CheckEngine. EngineComp and EngineByte
-// also compute outputs only, but never reject a graph: the bitvector
-// pipeline (the one block family they cannot lower) falls back to the
-// event engine transparently, recorded in Result.Engine.
+// Simulation runs on one of two engines selected by Options.Engine: the
+// default event-driven ready-set scheduler (EngineEvent), the
+// cycle-accurate simulator whose cycle counts and stream statistics are
+// the paper's metric, which ticks only blocks with newly visible input,
+// freed backpressure space, or pending internal work; and the compiled
+// co-iteration engine (EngineComp), which lowers the graph once into a
+// tree of Go closures that walk the bound fibertree storage directly — no
+// token queues, no per-cycle scheduling — and is the fastest way to compute
+// a kernel's output. EngineComp computes outputs only (no cycle counts, no
+// stream statistics) and never rejects a graph: the bitvector pipeline
+// (the one block family it cannot lower) falls back to the event engine
+// transparently, recorded in Result.Engine. The event scheduler is checked
+// bit for bit against a tick-all reference loop in the test suite; that
+// loop is a test oracle, not an engine.
 //
 // # Artifacts
 //
 // EncodeProgram serializes a compiled graph's lowered program into a
 // versioned, checksummed, canonical byte artifact; DecodeProgram loads one
 // into a runnable Program in a process that never saw the source graph —
-// the cross-process analogue of NewProgram. Artifact-backed programs run
-// on the functional engines (EngineByte by default, EngineComp); engines
-// needing the source graph (cycle counts, the flow executor) reject them
-// up front. samsim -emit/-load round-trips artifacts on the command line,
+// the cross-process analogue of NewProgram. An artifact is a source of a
+// comp program: artifact-backed programs run on EngineComp, and the event
+// engine, which needs the source graph, rejects them up front. samsim -emit/-load round-trips artifacts on the command line,
 // and samserve -artifacts persists every compiled program to a disk cache
 // keyed by the canonical request key and format version, so a restarted
 // server decodes instead of recompiling (see the README's Artifacts
@@ -122,8 +116,8 @@
 // The subsystems live in internal packages: internal/core implements the
 // dataflow blocks (the paper's primary contribution), internal/custard the
 // compiler, internal/opt the graph-optimizer pass pipeline,
-// internal/sim the cycle engines and the batch runner,
-// internal/flow a concurrent goroutine-per-block executor,
+// internal/sim the engines and the batch runner, internal/comp the
+// compiled engine, internal/prog its portable artifact format,
 // internal/memmodel the finite-memory tiling model, and
 // internal/experiments the harnesses that regenerate every table and figure
 // of the paper's evaluation.
@@ -187,17 +181,12 @@ type Result = sim.Result
 // EngineKind selects a graph executor in Options.Engine.
 type EngineKind = sim.EngineKind
 
-// The available engines: the default event-driven ready-set scheduler, the
-// naive tick-all reference loop, the goroutine-per-block functional
-// executor, the compiled co-iteration engine, and the artifact interpreter
-// (outputs bit-identical to the cycle engines; graphs the functional
-// engines cannot lower fall back to the event engine).
+// The available engines: the default event-driven ready-set scheduler and
+// the compiled co-iteration engine (outputs bit-identical to the event
+// engine; graphs it cannot lower fall back to the event engine).
 const (
 	EngineEvent = sim.EngineEvent
-	EngineNaive = sim.EngineNaive
-	EngineFlow  = sim.EngineFlow
 	EngineComp  = sim.EngineComp
-	EngineByte  = sim.EngineByte
 )
 
 // Engines lists every registered engine kind.
@@ -384,10 +373,9 @@ func EncodeProgram(g *Graph) ([]byte, error) { return prog.Encode(g) }
 // DecodeProgram loads an encoded artifact into a runnable Program, the
 // cross-process counterpart of NewProgram. Corrupt, truncated, or
 // version-skewed bytes fail with a descriptive error, never a panic. The
-// loaded Program carries no source graph: set Options.Engine to EngineByte
-// (or EngineComp) when running it — engines that need the graph (the cycle
-// engines' default included, and the flow executor) reject it up front
-// with a descriptive error.
+// loaded Program carries no source graph: set Options.Engine to EngineComp
+// when running it — the event engine (the default) needs the graph and
+// rejects it up front with a descriptive error.
 func DecodeProgram(data []byte) (*Program, error) {
 	bp, err := prog.Decode(data)
 	if err != nil {
@@ -400,10 +388,10 @@ func DecodeProgram(data []byte) (*Program, error) {
 // fields take defaults.
 func NewServer(cfg ServerConfig) *Server { return serve.NewServer(cfg) }
 
-// CheckEngine reports up front whether an engine can execute a graph
-// (EngineFlow supports the core block set only; EngineComp accepts every
-// graph and falls back to the event engine for the bitvector pipeline; see
-// the sim.EngineFlow and sim.EngineComp constants).
+// CheckEngine reports up front whether an engine can execute a graph. Both
+// engines accept every graph (EngineComp falls back to the event engine for
+// the bitvector pipeline; see the sim.EngineComp constant), so only an
+// unknown engine kind errors.
 func CheckEngine(kind EngineKind, g *Graph) error { return sim.CheckEngine(kind, g) }
 
 // Evaluate computes the statement directly on dense data — the gold

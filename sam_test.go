@@ -160,29 +160,33 @@ func TestFacadeEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := Simulate(g, inputs, Options{Engine: EngineNaive})
+	if event.Cycles <= 0 || event.Engine != EngineEvent {
+		t.Errorf("event run: %d cycles on %q", event.Cycles, event.Engine)
+	}
+	comp, err := Simulate(g, inputs, Options{Engine: EngineComp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if event.Cycles != naive.Cycles {
-		t.Errorf("engines disagree on cycles: event %d, naive %d", event.Cycles, naive.Cycles)
+	if err := Equal(comp.Output, event.Output, 0); err != nil {
+		t.Errorf("comp engine output differs: %v", err)
 	}
-	flow, err := Simulate(g, inputs, Options{Engine: EngineFlow})
-	if err != nil {
-		t.Fatal(err)
+	if comp.Cycles != 0 || comp.Engine != EngineComp {
+		t.Errorf("comp run: %d cycles on %q, want 0 on comp", comp.Cycles, comp.Engine)
 	}
-	if err := Equal(flow.Output, event.Output, 1e-9); err != nil {
-		t.Errorf("flow engine output differs: %v", err)
+	if got := Engines(); len(got) != 2 || got[0] != EngineEvent || got[1] != EngineComp {
+		t.Errorf("Engines() = %v, want [event comp]", got)
 	}
-	if _, err := Simulate(g, inputs, Options{Engine: "warp"}); err == nil {
-		t.Error("unknown engine not surfaced")
+	for _, eng := range []EngineKind{"warp", "naive", "flow", "byte"} {
+		if _, err := Simulate(g, inputs, Options{Engine: eng}); err == nil {
+			t.Errorf("engine %q not rejected", eng)
+		}
 	}
 }
 
 // TestFacadeArtifacts exercises the artifact surface: EncodeProgram is
 // deterministic, DecodeProgram yields a graph-less Program that runs on the
-// byte engine with output identical to the event engine on the source graph,
-// and engines needing the graph reject it.
+// comp engine with output identical to the event engine on the source graph,
+// and the event engine, which needs the graph, rejects it.
 func TestFacadeArtifacts(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	B := RandomTensor("B", rng, 150, 40, 30)
@@ -215,18 +219,18 @@ func TestFacadeArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.Run(inputs, Options{Engine: EngineByte})
+	got, err := p.Run(inputs, Options{Engine: EngineComp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Engine != EngineByte {
-		t.Errorf("artifact ran on %q, want byte", got.Engine)
+	if got.Engine != EngineComp {
+		t.Errorf("artifact ran on %q, want comp", got.Engine)
 	}
 	if err := Equal(got.Output, want.Output, 0); err != nil {
 		t.Errorf("artifact output differs from event: %v", err)
 	}
 	if _, err := p.Run(inputs, Options{Engine: EngineEvent}); err == nil {
-		t.Error("cycle engine accepted an artifact-backed program")
+		t.Error("event engine accepted an artifact-backed program")
 	}
 	if _, err := DecodeProgram(enc[:len(enc)/2]); err == nil {
 		t.Error("DecodeProgram accepted truncated bytes")
@@ -273,15 +277,15 @@ func TestFacadeProgramAndServer(t *testing.T) {
 			t.Errorf("trial %d: %v", trial, err)
 		}
 	}
-	if err := CheckEngine(EngineFlow, g); err != nil {
-		t.Errorf("CheckEngine(flow, spmv) = %v", err)
-	}
 	gallop, err := Compile("x(i) = b(i) * c(i)", nil, Schedule{UseSkip: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckEngine(EngineFlow, gallop); err == nil {
-		t.Error("CheckEngine(flow, gallop) = nil, want error")
+	if err := CheckEngine(EngineComp, gallop); err != nil {
+		t.Errorf("CheckEngine(comp, gallop) = %v", err)
+	}
+	if err := CheckEngine("flow", g); err == nil {
+		t.Error("CheckEngine(flow, spmv) = nil, want unknown-engine error")
 	}
 
 	srv := NewServer(ServerConfig{Workers: 1})
