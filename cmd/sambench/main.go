@@ -1,6 +1,6 @@
 // Command sambench regenerates the tables and figures of the paper's
-// evaluation (Section 6) and prints the same rows and series the paper
-// reports.
+// evaluation (Section 6) and the engine studies, and prints the same rows
+// and series the paper reports.
 //
 // Usage:
 //
@@ -9,19 +9,15 @@
 //	sambench -exp table1,fig13a -scale 0.5
 //	sambench -exp fig12 -json > BENCH.json     # machine-readable results
 //	sambench -exp parallel -par 1,2,4,8,16     # lane-scaling study
-//	sambench -exp serve -json > BENCH_PR3.json # serving cache + scaling study
 //	sambench -exp opt -json > BENCH_PR4.json   # graph-optimizer study
 //	sambench -exp comp -json > BENCH_PR5.json  # compiled-engine speedup study
-//	sambench -exp throughput -json > BENCH_PR6.json # lane/pool/batch throughput study
-//	sambench -exp artifact -json > BENCH_PR7.json # program-artifact encode/decode/serve study
-//	sambench -exp obs -json > BENCH_PR8.json   # observability-cost study
-//	sambench -exp state -json > BENCH_PR9.json # named-operand-store study
-//	sambench -exp shard -json > BENCH_PR10.json # sharded-router fleet study
+//	sambench -exp artifact -json > BENCH_PR7.json # program-artifact encode/decode study
 //
 // Experiments: table1, table2, fig11, fig12, fig13a, fig13b, fig13c, fig14,
-// fig15, pointlevel, parallel, serve, opt, comp, throughput, artifact, obs,
-// state, shard. Cycle counts come from the event engine, the one engine with
-// a cycle model.
+// fig15, pointlevel, parallel, opt, comp, artifact. Cycle counts come from
+// the event engine, the one engine with a cycle model. The serving stack is
+// measured by the fixed benchmark in ladder/ (python3 ladder/run.py), not
+// here.
 package main
 
 import (
@@ -39,7 +35,7 @@ import (
 	"sam/internal/experiments"
 )
 
-var all = []string{"table1", "table2", "fig11", "fig12", "fig13a", "fig13b", "fig13c", "fig14", "fig15", "pointlevel", "parallel", "serve", "opt", "comp", "throughput", "artifact", "obs", "state", "shard"}
+var all = []string{"table1", "table2", "fig11", "fig12", "fig13a", "fig13b", "fig13c", "fig14", "fig15", "pointlevel", "parallel", "opt", "comp", "artifact"}
 
 // jsonResult is the machine-readable record emitted per experiment with
 // -json, so perf trajectories can be tracked across PRs in BENCH_*.json.
@@ -205,12 +201,6 @@ func run(name string, seed int64, scale float64, lanes []int) (string, any, erro
 			return "", nil, err
 		}
 		return experiments.RenderParallel(pts), pts, nil
-	case "serve":
-		res, err := experiments.ServeStudy(seed, scale, nil)
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.RenderServe(res), res, nil
 	case "opt":
 		rows, err := experiments.OptStudy(seed, scale)
 		if err != nil {
@@ -223,36 +213,12 @@ func run(name string, seed int64, scale float64, lanes []int) (string, any, erro
 			return "", nil, err
 		}
 		return experiments.RenderComp(rows), rows, nil
-	case "throughput":
-		res, err := experiments.ThroughputStudy(seed, scale)
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.RenderThroughput(res), res, nil
 	case "artifact":
 		res, err := experiments.ArtifactStudy(seed, scale)
 		if err != nil {
 			return "", nil, err
 		}
 		return experiments.RenderArtifact(res), res, nil
-	case "obs":
-		res, err := experiments.ObsStudy(seed, scale)
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.RenderObs(res), res, nil
-	case "state":
-		res, err := experiments.StateStudy(seed, scale)
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.RenderState(res), res, nil
-	case "shard":
-		res, err := experiments.ShardStudy(seed, scale, nil)
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.RenderShard(res), res, nil
 	}
 	return "", nil, fmt.Errorf("unknown experiment %q (want one of %s)", name, strings.Join(all, ", "))
 }

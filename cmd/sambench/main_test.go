@@ -22,7 +22,7 @@ func TestSmokeParallelJSON(t *testing.T) {
 	if len(records) != 1 || records[0].Experiment != "parallel" {
 		t.Fatalf("records = %+v", records)
 	}
-	if records[0].Scale != 0.05 {
+	if records[0].Scale != 0.05 || records[0].CPUs < 1 || records[0].GoMaxProcs < 1 {
 		t.Errorf("record metadata = %+v", records[0])
 	}
 	rows, ok := records[0].Data.([]any)
@@ -59,69 +59,21 @@ func TestSmokeTextOutput(t *testing.T) {
 	}
 }
 
-// TestSmokeServeJSON runs the serving study at a tiny scale and checks the
-// -json record carries both the cache and scaling sections.
-func TestSmokeServeJSON(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := realMain([]string{"-exp", "serve", "-scale", "0.05", "-json"}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
-	}
-	var records []jsonResult
-	if err := json.Unmarshal(stdout.Bytes(), &records); err != nil {
-		t.Fatalf("output is not JSON: %v\n%s", err, stdout.String())
-	}
-	if len(records) != 1 || records[0].Experiment != "serve" {
-		t.Fatalf("records = %+v", records)
-	}
-	data, ok := records[0].Data.(map[string]any)
-	if !ok {
-		t.Fatalf("data is %T, want an object", records[0].Data)
-	}
-	for _, section := range []string{"cpus", "cache", "scaling"} {
-		if _, ok := data[section]; !ok {
-			t.Errorf("data missing section %q", section)
-		}
-	}
-}
-
-// TestSmokeThroughputJSON runs the throughput study at a tiny scale and
-// checks the -json record carries the lane, alloc and serve sections plus
-// the host-parallelism fields every BENCH row must pin.
-func TestSmokeThroughputJSON(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := realMain([]string{"-exp", "throughput", "-scale", "0.05", "-json"}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
-	}
-	var records []jsonResult
-	if err := json.Unmarshal(stdout.Bytes(), &records); err != nil {
-		t.Fatalf("output is not JSON: %v\n%s", err, stdout.String())
-	}
-	if len(records) != 1 || records[0].Experiment != "throughput" {
-		t.Fatalf("records = %+v", records)
-	}
-	if records[0].CPUs < 1 || records[0].GoMaxProcs < 1 {
-		t.Errorf("record cpus/gomaxprocs = %d/%d, want >= 1", records[0].CPUs, records[0].GoMaxProcs)
-	}
-	data, ok := records[0].Data.(map[string]any)
-	if !ok {
-		t.Fatalf("data is %T, want an object", records[0].Data)
-	}
-	for _, section := range []string{"cpus", "gomaxprocs", "lanes", "allocs", "serve"} {
-		if _, ok := data[section]; !ok {
-			t.Errorf("data missing section %q", section)
-		}
-	}
-	allocs, ok := data["allocs"].([]any)
-	if !ok || len(allocs) == 0 {
-		t.Fatalf("allocs section = %v, want non-empty list", data["allocs"])
-	}
-	for _, a := range allocs {
-		pt := a.(map[string]any)
-		if n := pt["allocs_per_run"].(float64); n != 0 {
-			t.Errorf("kernel %v: allocs_per_run = %v, want 0", pt["kernel"], n)
-		}
+// TestRetiredServingExperiments pins the removal of the HTTP serving
+// studies: the fixed benchmark in ladder/ measures the serving stack, so each
+// retired name fails like any unknown experiment and the diagnostic lists the
+// experiments that remain.
+func TestRetiredServingExperiments(t *testing.T) {
+	for _, name := range []string{"serve", "throughput", "obs", "state", "shard"} {
+		t.Run(name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := realMain([]string{"-exp", name}, &stdout, &stderr); code != 1 {
+				t.Errorf("exit %d, want 1", code)
+			}
+			if want := strings.Join(all, ", "); !strings.Contains(stderr.String(), want) {
+				t.Errorf("diagnostic %q does not list the valid experiments %q", stderr.String(), want)
+			}
+		})
 	}
 }
 

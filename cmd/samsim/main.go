@@ -305,7 +305,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	// would do nothing). An unknown -engine prints the registered engine
 	// list via sim.EngineFor.
 	kind := sim.EngineKind(*engine)
-	if err := sim.CheckEngine(kind, g); err != nil {
+	if _, err := sim.EngineFor(kind); err != nil {
 		return fail(err)
 	}
 	if kind == sim.EngineComp && *queueCap != 0 {

@@ -68,10 +68,6 @@ func runDifferential(t *testing.T, name, expr string, formats lang.Formats, sche
 				}
 				t.Fatalf("%s O%d: compile: %v", name, opt, err)
 			}
-			if err := sim.CheckEngine(sim.EngineComp, g); err != nil {
-				t.Errorf("%s par%d O%d: CheckEngine(comp) rejected a supported graph: %v", name, par, opt, err)
-				continue
-			}
 			ref, errRef := sim.Run(g, inputs, sim.Options{Engine: sim.EngineEvent})
 			got, errGot := sim.Run(g, inputs, sim.Options{Engine: sim.EngineComp})
 			if errRef != nil || errGot != nil {

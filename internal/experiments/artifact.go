@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"net/http"
-	"os"
 	"runtime"
 	"time"
 
@@ -12,7 +10,6 @@ import (
 	"sam/internal/custard"
 	"sam/internal/lang"
 	"sam/internal/prog"
-	"sam/internal/serve"
 	"sam/internal/sim"
 	"sam/internal/tensor"
 )
@@ -34,37 +31,17 @@ type ArtifactRow struct {
 	Identical bool    `json:"outputs_identical"`
 }
 
-// ArtifactServePoint is one kernel's cold-compile vs warm-disk serving
-// measurement: the setup time of a genuine cache miss (parse + custard +
-// optimizer + lowering + program build, artifact written behind) on one
-// server against the setup time of a fresh server sharing the same artifact
-// directory, whose first request decodes the persisted artifact instead of
-// compiling.
-type ArtifactServePoint struct {
-	Kernel      string  `json:"kernel"`
-	ColdSetupNS int64   `json:"cold_setup_ns"` // fresh server, empty disk: compile
-	DiskSetupNS int64   `json:"disk_setup_ns"` // fresh server, warm disk: decode
-	Speedup     float64 `json:"setup_speedup"`
-	Cycles      int     `json:"cycles"` // 0: the comp engine has no cycle model
-}
-
-// ArtifactResult bundles both halves of the artifact study for
-// BENCH_PR7.json.
+// ArtifactResult is the artifact study for BENCH_PR7.json.
 type ArtifactResult struct {
-	CPUs  int                  `json:"cpus"`
-	Rows  []ArtifactRow        `json:"rows"`
-	Serve []ArtifactServePoint `json:"serve"`
+	CPUs int           `json:"cpus"`
+	Rows []ArtifactRow `json:"rows"`
 }
 
-// ArtifactStudy measures the portable-artifact pipeline end to end. Phase 1
-// covers every Table 1 kernel at Opt ∈ {0, 1}: artifact size, encode cost,
-// a cold compile against a decode, and the comp engine on the compiled
-// program against the decoded artifact, with bit-identity to the event
-// engine enforced. Phase 2 drives two serve instances sharing one artifact
-// directory over real HTTP: the first compiles each kernel cold (writing
-// artifacts behind), the second starts with an empty in-memory cache and a
-// warm disk, so its first comp request per kernel must be served by
-// decoding — the cold-start path the artifact format exists to shorten.
+// ArtifactStudy measures the portable-artifact pipeline for every Table 1
+// kernel at Opt ∈ {0, 1}: artifact size, encode cost, a cold compile against
+// a decode — the cold-start cost the artifact format exists to shorten — and
+// the comp engine on the compiled program against the decoded artifact, with
+// bit-identity to the event engine enforced.
 func ArtifactStudy(seed int64, scale float64) (*ArtifactResult, error) {
 	dims := map[string]int{
 		"i": int(40 * scale), "j": int(36 * scale),
@@ -200,74 +177,7 @@ func ArtifactStudy(seed int64, scale float64) (*ArtifactResult, error) {
 			})
 		}
 	}
-
-	pts, err := artifactServePhase(seed, scale)
-	if err != nil {
-		return nil, err
-	}
-	out.Serve = pts
 	return out, nil
-}
-
-// artifactServePhase measures serve's persistent disk cache: cold compile on
-// server A (which persists artifacts), then first-request setup on a fresh
-// server B sharing the directory, whose misses must resolve from disk.
-func artifactServePhase(seed int64, scale float64) ([]ArtifactServePoint, error) {
-	dir, err := os.MkdirTemp("", "sam-artifacts-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-
-	workload := serveWorkload(seed, scale)
-	for _, w := range workload {
-		// The disk cache serves the comp engine only; pin every request
-		// to it.
-		w.req.Options = &serve.WireOptions{Engine: string(sim.EngineComp)}
-	}
-	client := &http.Client{}
-
-	var points []ArtifactServePoint
-	cold := map[string]int64{}
-	// Server A: empty disk, every first request is a genuine compile; the
-	// server writes each artifact behind the miss.
-	tsA, stopA := startServer(serve.Config{Workers: 2, ArtifactDir: dir})
-	for _, w := range workload {
-		er, err := post(client, tsA.URL, w.req)
-		if err != nil {
-			stopA()
-			return nil, fmt.Errorf("artifact serve %s (cold): %w", w.name, err)
-		}
-		if er.Cache != "miss" {
-			stopA()
-			return nil, fmt.Errorf("artifact serve %s: first request was a cache %s, want miss", w.name, er.Cache)
-		}
-		cold[w.name] = er.SetupNS
-	}
-	stopA()
-
-	// Server B: fresh in-memory cache, warm disk. Every first request must
-	// decode the persisted artifact instead of compiling.
-	tsB, stopB := startServer(serve.Config{Workers: 2, ArtifactDir: dir})
-	defer stopB()
-	for _, w := range workload {
-		er, err := post(client, tsB.URL, w.req)
-		if err != nil {
-			return nil, fmt.Errorf("artifact serve %s (disk): %w", w.name, err)
-		}
-		if er.Cache != "disk" {
-			return nil, fmt.Errorf("artifact serve %s: fresh-server request was a cache %s, want disk", w.name, er.Cache)
-		}
-		pt := ArtifactServePoint{
-			Kernel: w.name, ColdSetupNS: cold[w.name],
-			DiskSetupNS: er.SetupNS, Cycles: er.Cycles,
-		}
-		if pt.DiskSetupNS > 0 {
-			pt.Speedup = float64(pt.ColdSetupNS) / float64(pt.DiskSetupNS)
-		}
-		points = append(points, pt)
-	}
-	return points, nil
 }
 
 // RenderArtifact prints the artifact study.
@@ -283,17 +193,5 @@ func RenderArtifact(r *ArtifactResult) string {
 			fmt.Sprint(row.Identical),
 		})
 	}
-	out := "Artifacts: Table 1 kernels, cold compile vs artifact decode, comp on each (internal/prog)\n" + table(header, body)
-	header = []string{"Kernel", "Cold setup (compile)", "Disk setup (decode)", "Setup speedup"}
-	body = nil
-	for _, p := range r.Serve {
-		body = append(body, []string{
-			p.Kernel,
-			fmt.Sprintf("%.1fus", float64(p.ColdSetupNS)/1000),
-			fmt.Sprintf("%.1fus", float64(p.DiskSetupNS)/1000),
-			fmt.Sprintf("%.1fx", p.Speedup),
-		})
-	}
-	out += fmt.Sprintf("\nArtifacts: serve cold compile vs warm-disk decode, fresh server per column (%d CPUs)\n", r.CPUs) + table(header, body)
-	return out
+	return fmt.Sprintf("Artifacts: Table 1 kernels, cold compile vs artifact decode, comp on each (internal/prog, %d CPUs)\n", r.CPUs) + table(header, body)
 }

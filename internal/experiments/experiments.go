@@ -1,7 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Section 6). Each experiment returns structured rows plus a
-// text rendering with the same series the paper reports; cmd/sambench and
-// the repository benchmarks call into this package.
+// evaluation (Section 6) and the engine studies (lane scaling, optimizer,
+// compiled engine, program artifacts). Each experiment returns structured
+// rows plus a text rendering with the same series the paper reports;
+// cmd/sambench and the repository benchmarks call into this package. It runs
+// no server: the serving stack is measured by the fixed benchmark in ladder/.
 package experiments
 
 import (

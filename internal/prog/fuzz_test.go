@@ -130,8 +130,12 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 			tensor.QuantizeInts(rng, 7, tt)
 			inputs[a.Tensor] = tt
 		}
+		sp, err := sim.NewProgramFromArtifact(p)
+		if err != nil {
+			t.Fatalf("%s %v: artifact program: %v", expr, order, err)
+		}
 		ref, err := sim.Run(g, inputs, sim.Options{Engine: sim.EngineEvent})
-		got, gotErr := p.Run(inputs)
+		got, gotErr := sp.Run(inputs, sim.Options{Engine: sim.EngineComp})
 		if err != nil {
 			// Run-failure parity: the artifact path must not run what the
 			// event engine rejects, nor vice versa.
@@ -143,7 +147,7 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 		if gotErr != nil {
 			t.Fatalf("%s %v: artifact run failed where event ran: %v", expr, order, gotErr)
 		}
-		if err := tensor.IdenticalBits(ref.Output, got); err != nil {
+		if err := tensor.IdenticalBits(ref.Output, got.Output); err != nil {
 			t.Fatalf("%s %v: artifact output differs from event: %v", expr, order, err)
 		}
 	})

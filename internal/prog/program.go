@@ -3,14 +3,14 @@ package prog
 import (
 	"sam/internal/bind"
 	"sam/internal/comp"
-	"sam/internal/tensor"
 )
 
 // Program is a loaded artifact: the decoded IR, the materialized compiled
 // program, and the canonical byte form. It carries everything execution
 // needs — operand bindings and output metadata travel inside the IR — so a
 // process that never saw the source graph can still bind inputs and run.
-// A Program is immutable and safe for concurrent Run calls.
+// A Program is immutable and safe for concurrent use;
+// sim.NewProgramFromArtifact wraps one as a runnable comp program.
 type Program struct {
 	ir  *comp.IR
 	cp  *comp.Program
@@ -38,19 +38,4 @@ func (p *Program) Name() string { return p.ir.Name }
 // embedded binding metadata.
 func (p *Program) Plan() *bind.Plan {
 	return bind.NewPlanFromParts(p.ir.Bindings, p.ir.OutputDims)
-}
-
-// Run binds the inputs against the artifact's embedded metadata and executes
-// the program, the graph-less equivalent of comp.RunGraph.
-func (p *Program) Run(inputs map[string]*tensor.COO) (*tensor.COO, error) {
-	plan := p.Plan()
-	bound, err := plan.Operands(inputs)
-	if err != nil {
-		return nil, err
-	}
-	dims, err := plan.OutputDims(inputs)
-	if err != nil {
-		return nil, err
-	}
-	return p.cp.Run(bound, dims)
 }

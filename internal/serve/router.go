@@ -564,8 +564,7 @@ func (rt *Router) Stats() RouterStatsResponse {
 	}
 	if merged != nil {
 		out.Aggregate.LatencyHist = merged
-		out.Aggregate.LatencyP50MS = obs.QuantileFromBuckets(merged.Buckets, merged.Counts, 0.50) * 1000
-		out.Aggregate.LatencyP99MS = obs.QuantileFromBuckets(merged.Buckets, merged.Counts, 0.99) * 1000
+		out.Aggregate.LatencyP50MS, out.Aggregate.LatencyP99MS = merged.percentiles()
 	}
 	out.RouterRequests = rt.sumCounter("sam_router_requests_total")
 	out.RouterProxyErrors = rt.sumCounter("sam_router_proxy_errors_total")

@@ -480,6 +480,42 @@ func TestRouterStatsAggregation(t *testing.T) {
 	}
 }
 
+// TestShardAndRouterPercentilesAgree pins the single latency source: after
+// the same traffic, a shard's own /v1/stats p50/p99 equal the aggregate
+// p50/p99 of a one-shard router over it, because both are interpolated from
+// the same job-latency histogram buckets.
+func TestShardAndRouterPercentilesAgree(t *testing.T) {
+	u, stop := startShardOn(t, "127.0.0.1:0", Config{})
+	defer stop()
+	_, router := startRouter(t, RouterConfig{Shards: []string{u}})
+
+	const n = 16
+	for seed := int64(1); seed <= n; seed++ {
+		req, _ := spmvRequest(seed, 1+int(seed%4), "")
+		if resp, body := postJSON(t, router.URL+"/v1/evaluate", req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("seed %d: status %d: %s", seed, resp.StatusCode, body)
+		}
+	}
+	var shard StatsResponse
+	if code := getJSON(t, u+"/v1/stats", &shard); code != http.StatusOK {
+		t.Fatalf("shard stats: status %d", code)
+	}
+	var fleet RouterStatsResponse
+	if code := getJSON(t, router.URL+"/v1/stats", &fleet); code != http.StatusOK {
+		t.Fatalf("router stats: status %d", code)
+	}
+	if shard.Requests != n || fleet.Aggregate.Requests != n {
+		t.Fatalf("requests: shard %d, router aggregate %d, want %d", shard.Requests, fleet.Aggregate.Requests, n)
+	}
+	if shard.LatencyP50MS <= 0 || shard.LatencyP99MS < shard.LatencyP50MS {
+		t.Errorf("degenerate shard percentiles p50=%v p99=%v", shard.LatencyP50MS, shard.LatencyP99MS)
+	}
+	if shard.LatencyP50MS != fleet.Aggregate.LatencyP50MS || shard.LatencyP99MS != fleet.Aggregate.LatencyP99MS {
+		t.Errorf("shard p50/p99 = %v/%v ms, router aggregate = %v/%v ms; want equal",
+			shard.LatencyP50MS, shard.LatencyP99MS, fleet.Aggregate.LatencyP50MS, fleet.Aggregate.LatencyP99MS)
+	}
+}
+
 // TestRouterTiledTensors exercises the large-operand path end to end:
 // an over-threshold PUT splits into per-shard tiles, GET reassembles the
 // identical tensor, a multiplicative evaluate over the tiled name matches

@@ -849,7 +849,8 @@ type StatsResponse struct {
 func (s *Server) Stats() StatsResponse {
 	requests, rejected, failures, cycles := s.metrics.counters()
 	hits, misses, evictions, size := s.cache.stats()
-	p50, p99 := s.metrics.percentiles()
+	lat := s.metrics.latencyHist()
+	p50, p99 := lat.percentiles()
 	engineRuns, fallbacks := s.metrics.engines()
 	ten := s.tensors.stats()
 	resp := StatsResponse{
@@ -864,7 +865,7 @@ func (s *Server) Stats() StatsResponse {
 		TensorsRefHits: ten.refHits, TensorsRefMisses: ten.refMisses,
 		TensorsEvictions: ten.evictions,
 		TensorsBindHits:  ten.bindHits, TensorsBindBuilds: ten.bindBuilds,
-		LatencyHist: s.metrics.latencyHist(),
+		LatencyHist: lat,
 	}
 	if s.disk != nil {
 		resp.DiskHits, resp.DiskMisses, resp.DiskWrites, resp.DiskErrors = s.disk.stats()

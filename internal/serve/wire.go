@@ -231,6 +231,15 @@ type HistogramSnapshot struct {
 	Count   int64     `json:"count"`
 }
 
+// percentiles estimates p50 and p99 in milliseconds by interpolating inside
+// the buckets (obs.QuantileFromBuckets). A shard's /v1/stats and the
+// router's fleet aggregate both derive their percentiles here, so one
+// shard's snapshot and a one-shard fleet report the same numbers.
+func (h *HistogramSnapshot) percentiles() (p50, p99 float64) {
+	return obs.QuantileFromBuckets(h.Buckets, h.Counts, 0.50) * 1000,
+		obs.QuantileFromBuckets(h.Buckets, h.Counts, 0.99) * 1000
+}
+
 // toCOO validates and converts a wire tensor.
 func (w WireTensor) toCOO(name string) (*tensor.COO, error) {
 	for _, d := range w.Dims {

@@ -64,17 +64,10 @@ type Engine interface {
 	RunProgram(p *Program, inputs map[string]*tensor.COO, opt Options) (*Result, error)
 }
 
-// CheckEngine reports up front whether the engine can execute the graph.
-// Both engines run every graph — the compiled engine falls back to the
-// event engine for blocks it cannot lower — so only an unknown engine kind
-// errors.
-func CheckEngine(kind EngineKind, g *graph.Graph) error {
-	_, err := EngineFor(kind)
-	return err
-}
-
 // EngineFor resolves an engine selector; the empty kind selects the default
-// event-driven engine.
+// event-driven engine. Both engines run every graph — the compiled engine
+// falls back to the event engine for blocks it cannot lower — so only an
+// unknown engine kind errors.
 func EngineFor(kind EngineKind) (Engine, error) {
 	switch kind {
 	case "", EngineEvent:
@@ -160,7 +153,7 @@ func (e compEngine) RunProgram(p *Program, inputs map[string]*tensor.COO, opt Op
 	cp, err := p.compProgram()
 	if err != nil {
 		// Fall back to the event engine only for graphs outside the
-		// compiled block set, per the CheckEngine contract that comp
+		// compiled block set, per the EngineFor contract that comp
 		// accepts every graph; the Result's Engine field records the
 		// fallback. Any other lowering failure on a supported graph is a
 		// comp bug and must surface, not be papered over by a silently

@@ -132,9 +132,10 @@ func (p *Program) Artifact() ([]byte, error) {
 // graph.Graph.Fingerprint), the program's cache identity.
 func (p *Program) Fingerprint() string { return p.fp }
 
-// CheckEngine reports whether the engine can execute this program. It is
-// the precomputed form of the package-level CheckEngine: no graph scan per
-// call, so request hot paths can validate per-request engine choices
+// CheckEngine reports whether the engine can execute this program: the
+// engine kind must be registered (EngineFor), and an artifact-backed
+// program, which has no source graph, runs on EngineComp only. It scans no
+// graph, so request hot paths can validate per-request engine choices
 // against a cached program for free.
 func (p *Program) CheckEngine(kind EngineKind) error {
 	if _, err := EngineFor(kind); err != nil {

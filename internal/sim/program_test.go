@@ -170,10 +170,10 @@ func TestNewProgramRejectsInvalid(t *testing.T) {
 	}
 }
 
-// TestCheckEngine checks the up-front engine validation: both engines accept
-// every graph (plain, Par and gallop), an unknown engine errors with the
-// registry, and an artifact-backed program refuses the event engine, which
-// needs the source graph.
+// TestCheckEngine checks the up-front engine validation: programs of every
+// graph shape (plain, Par and gallop) accept both engines, an unknown engine
+// errors with the registry, and an artifact-backed program refuses the event
+// engine, which needs the source graph.
 func TestCheckEngine(t *testing.T) {
 	spmv := lang.MustParse("x(i) = B(i,j) * c(j)")
 	plain, err := custard.Compile(spmv, nil, lang.Schedule{})
@@ -188,15 +188,22 @@ func TestCheckEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range Engines() {
-		for _, g := range []*graph.Graph{plain, par, gallop} {
-			if err := CheckEngine(kind, g); err != nil {
-				t.Errorf("CheckEngine(%s, %s) = %v", kind, g.Name, err)
+	for _, g := range []*graph.Graph{plain, par, gallop} {
+		gp, err := NewProgram(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range Engines() {
+			if err := gp.CheckEngine(kind); err != nil {
+				t.Errorf("%s program CheckEngine(%s) = %v", g.Name, kind, err)
 			}
 		}
+		if err := gp.CheckEngine("warp"); err == nil || !strings.Contains(err.Error(), `"comp"`) {
+			t.Errorf("%s program CheckEngine(warp) = %v, want the registry listed", g.Name, err)
+		}
 	}
-	if err := CheckEngine("warp", plain); err == nil || !strings.Contains(err.Error(), `"comp"`) {
-		t.Errorf("CheckEngine with unknown engine = %v, want the registry listed", err)
+	if _, err := EngineFor("warp"); err == nil || !strings.Contains(err.Error(), `"comp"`) {
+		t.Errorf("EngineFor(warp) = %v, want the registry listed", err)
 	}
 	enc, err := prog.Encode(plain)
 	if err != nil {

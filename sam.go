@@ -388,12 +388,6 @@ func DecodeProgram(data []byte) (*Program, error) {
 // fields take defaults.
 func NewServer(cfg ServerConfig) *Server { return serve.NewServer(cfg) }
 
-// CheckEngine reports up front whether an engine can execute a graph. Both
-// engines accept every graph (EngineComp falls back to the event engine for
-// the bitvector pipeline; see the sim.EngineComp constant), so only an
-// unknown engine kind errors.
-func CheckEngine(kind EngineKind, g *Graph) error { return sim.CheckEngine(kind, g) }
-
 // Evaluate computes the statement directly on dense data — the gold
 // reference the simulator is validated against.
 func Evaluate(expr string, inputs Inputs) (*Tensor, error) {

@@ -239,7 +239,7 @@ func TestFacadeArtifacts(t *testing.T) {
 
 // TestFacadeProgramAndServer exercises the serving surface: a compiled
 // Program reused across runs matches one-shot Simulate exactly, the
-// fingerprint is stable, CheckEngine validates up front, and a Server
+// fingerprint is stable, Program.CheckEngine validates up front, and a Server
 // round-trips one HTTP evaluation.
 func TestFacadeProgramAndServer(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
@@ -277,15 +277,11 @@ func TestFacadeProgramAndServer(t *testing.T) {
 			t.Errorf("trial %d: %v", trial, err)
 		}
 	}
-	gallop, err := Compile("x(i) = b(i) * c(i)", nil, Schedule{UseSkip: true})
-	if err != nil {
-		t.Fatal(err)
+	if err := p.CheckEngine(EngineComp); err != nil {
+		t.Errorf("spmv program CheckEngine(comp) = %v", err)
 	}
-	if err := CheckEngine(EngineComp, gallop); err != nil {
-		t.Errorf("CheckEngine(comp, gallop) = %v", err)
-	}
-	if err := CheckEngine("flow", g); err == nil {
-		t.Error("CheckEngine(flow, spmv) = nil, want unknown-engine error")
+	if err := p.CheckEngine("flow"); err == nil {
+		t.Error("spmv program CheckEngine(flow) = nil, want unknown-engine error")
 	}
 
 	srv := NewServer(ServerConfig{Workers: 1})
